@@ -59,10 +59,6 @@ int main(int argc, char** argv) {
     std::printf("warning: LOT_OBS=OFF build — the restart columns this "
                 "ablation exists for will be empty\n");
   }
-  if (!lot::lo::detail::kRebalanceThrottleCompiled) {
-    std::printf("warning: LOT_REBALANCE_THROTTLE=OFF build — the throttle "
-                "arm degenerates to resume-only\n");
-  }
 
   const auto saved_limit = lot::lo::write_resume_limit();
 

@@ -87,11 +87,6 @@ int main(int argc, char** argv) {
   if (!cli.has("ranges") && !cli.has("paper")) cfg.key_ranges = {20'000};
   lot::bench::JsonReport report;
 
-  if (!lot::health::kHealthCompiled) {
-    std::printf("warning: LOT_HEALTH=OFF build — both arms are ungoverned "
-                "and the delta this ablation measures is zero by "
-                "construction\n");
-  }
   if (!inject::kFaultInject) {
     std::printf("warning: built without LOT_FAULT_INJECT — the stallstorm "
                 "rows run in calm weather\n");
@@ -106,19 +101,14 @@ int main(int argc, char** argv) {
       lot::bench::print_cell_header("Governor ablation", spec);
       std::vector<std::pair<std::string, lot::bench::Series>> series;
       for (const Arm& arm : kArms) {
-#if !defined(LOT_DISABLE_HEALTH)
         lot::health::governor().reset();
-#endif
         lot::health::set_policies_enabled(arm.governed);
         set_weather(weather, cfg.seed);
         series.emplace_back(arm.name,
                             lot::bench::run_series<Avl>(spec, cfg));
         inject::enable_injection(false);
       }
-      lot::health::set_policies_enabled(true);
-#if !defined(LOT_DISABLE_HEALTH)
-      lot::health::governor().reset();
-#endif
+      lot::health::governor().reset();  // also re-enables the policies
       lot::bench::print_series_table(cfg.threads, series);
       if (weather.stall_permille == 0 && series.size() == 2) {
         // The acceptance number, computed in place: governed-vs-ungoverned

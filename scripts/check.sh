@@ -35,28 +35,22 @@
 #      observability layer compiled out — test_obs's static_asserts prove
 #      the hook handles are empty types, and the run proves the trees never
 #      grew a functional dependence on their own telemetry;
-#   8. the LOT_REBALANCE_THROTTLE=OFF build (build-nothrottle/): the
-#      non-stress suite with the contention-adaptive rotation throttle
-#      compiled out, proving the pre-throttle rotation discipline stays
-#      recoverable and nothing depends on deferral for correctness;
-#   9. the chaos storm campaign under TSan: the seeded fault-storm
+#   8. the chaos storm campaign under TSan: the seeded fault-storm
 #      envelope (ramp/hold/release allocation failures + guard-stall
 #      swarms + a pinned-epoch straggler) with the overload governor
 #      required to degrade and then recover within its documented bound,
 #      every access instrumented — the governor's sampling, the storm
 #      scheduler's rate updates and the degraded write paths all race by
-#      design, and this stage proves they race benignly;
-#  10. the LOT_HEALTH=OFF build (build-nohealth/): the non-stress suite
-#      with the governor compiled out (test_health's static_asserts prove
-#      the Governor collapses to an empty type) plus the OFF-build storm
-#      survival test — the same weather with no governor, proving the
-#      health layer is an optimization, never a correctness dependency;
-#  11. the sharded-layer gate: the ShardedMap linearizability campaign
+#      design, and this stage proves they race benignly. Its policies-off
+#      arm (also run uninstrumented in stage 2) rides out the same weather
+#      ungoverned, proving the health layer is never a correctness
+#      dependency;
+#   9. the sharded-layer gate: the ShardedMap linearizability campaign
 #      under TSan (router + k-way merge + per-shard EBR domains, every
 #      access instrumented) plus the shards=1 degenerate-equivalence
 #      tests from the default build — the scale-out layer must be both
 #      race-free at 4 shards and provably free at 1;
-#  12. the LOT_MVCC=OFF build (build-nomvcc/): the non-stress suite with
+#  10. the LOT_MVCC=OFF build (build-nomvcc/): the non-stress suite with
 #      the version layer compiled out (the ordered-api static_asserts
 #      prove the MVCC types collapse to empty and snapshot() vanishes
 #      from the map surface) plus the weak-scan stress arm — the scan
@@ -85,38 +79,38 @@ fail() {
   exit 1
 }
 
-echo "== stage 1/12: tier-1 build + test =="
+echo "== stage 1/10: tier-1 build + test =="
 cmake -B build -S . >/dev/null || fail "configure"
 cmake --build build -j "$(nproc)" >/dev/null || fail "build"
 (cd build && ctest --output-on-failure -j "$(nproc)" -E "$STRESS_RE") \
   || fail "tier-1 ctest"
 
-echo "== stage 2/12: perturbed linearizability + fault-injection stress =="
+echo "== stage 2/10: perturbed linearizability + fault-injection stress =="
 (cd build && ctest --output-on-failure -R "$STRESS_RE") \
   || fail "stress + checker"
 
-echo "== stage 3/12: ThreadSanitizer preset =="
+echo "== stage 3/10: ThreadSanitizer preset =="
 cmake --preset tsan >/dev/null || fail "tsan configure"
 cmake --build --preset tsan -j "$(nproc)" >/dev/null || fail "tsan build"
 # The explicit -E overrides the preset's own exclude filter, so it must
 # re-state the SeededBug exclusion (a result-level negative control)
 # alongside the scan, torn-snapshot, storm and shard stress deferrals
-# (stages 4, 9 and 11 gate those explicitly).
+# (stages 4, 8 and 9 gate those explicitly).
 ctest --preset tsan \
   -E "SeededBug|TornSnapshot|$SCAN_RE|LoStormStress|LoShardStress" \
   || fail "tsan ctest"
 
-echo "== stage 4/12: scan-enabled linearizability stress under TSan =="
+echo "== stage 4/10: scan-enabled linearizability stress under TSan =="
 # TornSnapshot rides along: the negative control's rejection must also
 # hold with every access instrumented and iteration counts scaled down.
 ctest --preset tsan -R "$SCAN_RE|TornSnapshot" || fail "tsan scan stress"
 
-echo "== stage 5/12: AddressSanitizer+LeakSanitizer preset =="
+echo "== stage 5/10: AddressSanitizer+LeakSanitizer preset =="
 cmake --preset asan >/dev/null || fail "asan configure"
 cmake --build --preset asan -j "$(nproc)" >/dev/null || fail "asan build"
 ctest --preset asan || fail "asan ctest"
 
-echo "== stage 6/12: LOT_POOL_ALLOC=OFF build + test =="
+echo "== stage 6/10: LOT_POOL_ALLOC=OFF build + test =="
 cmake -B build-nopool -S . -DLOT_POOL_ALLOC=OFF >/dev/null \
   || fail "nopool configure"
 cmake --build build-nopool -j "$(nproc)" >/dev/null || fail "nopool build"
@@ -124,38 +118,17 @@ cmake --build build-nopool -j "$(nproc)" >/dev/null || fail "nopool build"
   -E 'LoLinearizabilityStress|LoScanStress|LoResumeStress|SeededBug|DriverCapture') \
   || fail "nopool ctest (incl. fault campaign)"
 
-echo "== stage 7/12: LOT_OBS=OFF build + test =="
+echo "== stage 7/10: LOT_OBS=OFF build + test =="
 cmake -B build-noobs -S . -DLOT_OBS=OFF >/dev/null \
   || fail "noobs configure"
 cmake --build build-noobs -j "$(nproc)" >/dev/null || fail "noobs build"
 (cd build-noobs && ctest --output-on-failure -j "$(nproc)" -E "$STRESS_RE") \
   || fail "noobs ctest"
 
-echo "== stage 8/12: LOT_REBALANCE_THROTTLE=OFF build + test =="
-cmake -B build-nothrottle -S . -DLOT_REBALANCE_THROTTLE=OFF >/dev/null \
-  || fail "nothrottle configure"
-cmake --build build-nothrottle -j "$(nproc)" >/dev/null \
-  || fail "nothrottle build"
-(cd build-nothrottle && ctest --output-on-failure -j "$(nproc)" \
-  -E "$STRESS_RE") || fail "nothrottle ctest"
-
-echo "== stage 9/12: chaos storm campaign under TSan =="
+echo "== stage 8/10: chaos storm campaign under TSan =="
 ctest --preset tsan -R 'LoStormStress' || fail "tsan storm campaign"
 
-echo "== stage 10/12: LOT_HEALTH=OFF build + test =="
-cmake -B build-nohealth -S . -DLOT_HEALTH=OFF >/dev/null \
-  || fail "nohealth configure"
-cmake --build build-nohealth -j "$(nproc)" >/dev/null \
-  || fail "nohealth build"
-(cd build-nohealth && ctest --output-on-failure -j "$(nproc)" \
-  -E "$STRESS_RE") || fail "nohealth ctest"
-# The ungoverned build still rides out the full storm (no governor
-# assertions exist in this arm — survival, linearizability and leak
-# accounting only).
-(cd build-nohealth && ctest --output-on-failure -R 'LoStormStress') \
-  || fail "nohealth storm survival"
-
-echo "== stage 11/12: sharded-layer gate (TSan campaign + degenerate equivalence) =="
+echo "== stage 9/10: sharded-layer gate (TSan campaign + degenerate equivalence) =="
 ctest --preset tsan -R 'LoShardStress' || fail "tsan sharded stress"
 # shards=1 must be indistinguishable from the bare tree on the same op
 # tape (default build; these also ran inside stage 1's tier-1 sweep — the
@@ -163,7 +136,7 @@ ctest --preset tsan -R 'LoShardStress' || fail "tsan sharded stress"
 (cd build && ctest --output-on-failure -R 'SingleShardEquivalence') \
   || fail "shards=1 degenerate equivalence"
 
-echo "== stage 12/12: LOT_MVCC=OFF build + test =="
+echo "== stage 10/10: LOT_MVCC=OFF build + test =="
 cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null \
   || fail "nomvcc configure"
 cmake --build build-nomvcc -j "$(nproc)" >/dev/null || fail "nomvcc build"

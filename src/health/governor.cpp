@@ -1,7 +1,5 @@
 #include "health/governor.hpp"
 
-#if !defined(LOT_DISABLE_HEALTH)
-
 #include <algorithm>
 #include <chrono>
 #include <limits>
@@ -242,5 +240,3 @@ void admission_pause() {
 }  // namespace detail
 
 }  // namespace lot::health
-
-#endif  // LOT_DISABLE_HEALTH

@@ -22,32 +22,27 @@
 // the drain itself and is the bound the storm campaign asserts.
 #pragma once
 
-#include <cstdint>
-
-#include "health/state.hpp"
-#include "reclaim/ebr.hpp"
-
-#if !defined(LOT_DISABLE_HEALTH)
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
+// Keep reclaim/ebr.hpp ahead of obs/counters.hpp: this order fixes the
+// order in which their inline functions are emitted into every binary.
+#include "health/state.hpp"
+#include "reclaim/ebr.hpp"
 #include "obs/counters.hpp"
 #include "sync/backoff.hpp"
-#endif
 
 namespace lot::health {
 
-/// What obs embeds in a Snapshot. Defined in both build flavours so
-/// obs/obs.hpp needs no gate of its own; the OFF build reports zeros.
+/// What obs embeds in a Snapshot.
 struct View {
   State state = State::kHealthy;
   std::uint64_t transitions = 0;
   std::uint64_t ticks = 0;
   std::uint64_t contention_events = 0;
 };
-
-#if !defined(LOT_DISABLE_HEALTH)
 
 /// Entry thresholds per target state (index 0 → Pressured, 1 → Degraded,
 /// 2 → Critical); exit thresholds are entry/2. A value of UINT64_MAX
@@ -207,22 +202,5 @@ inline View view() {
   return View{current_state(), transition_count(), tick_count(),
               contention_events()};
 }
-
-#else  // LOT_DISABLE_HEALTH — empty types, empty inlines.
-
-/// Kept an empty type (tests/test_health.cpp static_asserts it) so an OFF
-/// build provably carries no governor state.
-struct Governor {};
-
-inline Governor& governor() {
-  static Governor g;
-  return g;
-}
-
-inline void maybe_sample_tick(reclaim::EbrDomain&) {}
-inline void writer_gate(reclaim::EbrDomain&) {}
-inline View view() { return View{}; }
-
-#endif  // LOT_DISABLE_HEALTH
 
 }  // namespace lot::health

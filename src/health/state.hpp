@@ -11,18 +11,12 @@
 // function-local static: one load on the hot path, no allocation, no
 // headers beyond <atomic>.
 //
-// Compile-out: -DLOT_HEALTH=OFF (CMake option) defines LOT_DISABLE_HEALTH,
-// collapsing every hook to an empty inline (and health::Governor to an
-// empty type — tests/test_health.cpp static_asserts it stays one), so the
-// pre-governor behaviour is recoverable bit-for-bit, mirroring the
-// LOT_DISABLE_OBS / LOT_REBALANCE_THROTTLE_OFF idiom.
+// set_policies_enabled(false) turns every policy predicate below into
+// "do nothing" at runtime, which restores the ungoverned behaviour.
 #pragma once
 
-#include <cstdint>
-
-#if !defined(LOT_DISABLE_HEALTH)
 #include <atomic>
-#endif
+#include <cstdint>
 
 namespace lot::health {
 
@@ -48,10 +42,6 @@ constexpr const char* state_name(State s) {
   }
   return "?";
 }
-
-#if !defined(LOT_DISABLE_HEALTH)
-
-inline constexpr bool kHealthCompiled = true;
 
 namespace detail {
 
@@ -159,24 +149,5 @@ inline unsigned admission_backoff_level() {
     default: return 0;
   }
 }
-
-#else  // LOT_DISABLE_HEALTH — every hook compiles away.
-
-inline constexpr bool kHealthCompiled = false;
-
-inline State current_state() { return State::kHealthy; }
-inline void publish_state(State) {}
-inline std::uint64_t transition_count() { return 0; }
-inline std::uint64_t tick_count() { return 0; }
-inline void note_contention() {}
-inline std::uint64_t contention_events() { return 0; }
-inline void set_policies_enabled(bool) {}
-inline bool policies_enabled() { return false; }
-inline bool shed_rotations() { return false; }
-inline unsigned ebr_drain_shift() { return 0; }
-inline bool prefer_emergency_reserve() { return false; }
-inline unsigned admission_backoff_level() { return 0; }
-
-#endif  // LOT_DISABLE_HEALTH
 
 }  // namespace lot::health

@@ -44,9 +44,8 @@ namespace lot::lo::detail {
 // default scope — structures on the global domain (the overwhelmingly
 // common single-map case) — and is what the scope-free test hooks below
 // operate on, so single-domain behaviour is bit-identical to PR 6.
-// Scoping exists in BOTH throttle build flavours: even with the TLS
-// throttle compiled out, contention events are still attributed to the
-// right domain's odometer.
+// Contention events are attributed to the right domain's odometer even
+// while set_rebalance_throttle(false) has the TLS throttle switched off.
 
 inline reclaim::EbrDomain*& heat_scope_tls() {
   thread_local reclaim::EbrDomain* scope = nullptr;
@@ -96,21 +95,12 @@ inline reclaim::EbrDomain& heat_scope_domain() {
 // repair_balance re-derives heights bottom-up instead of trusting the
 // caches. The state is thread-local and owned by this layer, NOT by
 // obs/ (LOT_OBS=OFF builds throttle identically); obs merely observes
-// deferral events via kRotationsDeferred.
-//
-// Compile-out: -DLOT_REBALANCE_THROTTLE=OFF (CMake option) defines
-// LOT_REBALANCE_THROTTLE_OFF, turning every hook below into a no-op so the
-// pre-throttle rotation discipline is recoverable bit-for-bit.
+// deferral events via kRotationsDeferred. set_rebalance_throttle(false)
+// restores the unconditional rotation discipline at runtime.
 
-// The tuning constants stay visible in both build flavours so tests and
-// benches can reference them unconditionally.
 inline constexpr std::uint32_t kHeatPerEvent = 64;
 inline constexpr std::uint32_t kHeatHotThreshold = 128;
 inline constexpr std::uint32_t kHeatCap = 1024;
-
-#if !defined(LOT_REBALANCE_THROTTLE_OFF)
-
-inline constexpr bool kRebalanceThrottleCompiled = true;
 
 inline std::atomic<bool>& throttle_flag() {
   static std::atomic<bool> on{true};
@@ -191,44 +181,19 @@ inline std::uint32_t contention_heat() { return contention_heat_tls(); }
 inline void set_rebalance_throttle(bool on) {
   throttle_flag().store(on, std::memory_order_relaxed);
 }
-inline bool rebalance_throttle_enabled() {
-  return throttle_flag().load(std::memory_order_relaxed);
-}
 
 inline bool heat_rotation_throttled() {
   return contention_heat_tls() >= kHeatHotThreshold &&
          throttle_flag().load(std::memory_order_relaxed);
 }
 
-#else  // LOT_REBALANCE_THROTTLE_OFF — every hook compiles away.
-
-inline constexpr bool kRebalanceThrottleCompiled = false;
-
-// The governor's contention odometer (and the scope domain's per-shard
-// odometer) stay fed even with the TLS throttle compiled out — shedding
-// and heat *observation* are separate concerns.
-inline void contention_heat_add() {
-  health::note_contention();
-  heat_scope_domain().note_contention_event();
-}
-inline void contention_heat_cool() {}
-inline void reset_contention_heat() {}
-inline void set_contention_heat(std::uint32_t) {}
-inline std::uint32_t contention_heat() { return 0; }
-inline void set_rebalance_throttle(bool) {}
-inline bool rebalance_throttle_enabled() { return false; }
-inline bool heat_rotation_throttled() { return false; }
-
-#endif  // LOT_REBALANCE_THROTTLE_OFF
-
 // ---- governor-driven rotation shedding (DESIGN.md §14) ----
 //
 // The TLS heat above only sees the calling thread's own contention; the
 // overload governor publishes a process-wide verdict. At Degraded or worse
 // *every* thread defers rotations — the cross-thread heat signal the
-// ROADMAP's "generalize beyond TLS" item asked for. Gated by LOT_HEALTH
-// inside health/state.hpp (shed_rotations() is a constant false when the
-// governor is compiled out), independent of LOT_REBALANCE_THROTTLE.
+// ROADMAP's "generalize beyond TLS" item asked for. Switched by
+// health::set_policies_enabled, independent of set_rebalance_throttle.
 
 /// TLS escape hatch: LoCore::repair_balance() restores strict AVL shape at
 /// quiescence and must rotate even while the published state is still

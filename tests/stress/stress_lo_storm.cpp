@@ -20,16 +20,10 @@
 //
 // The negative control (GovernorPoliciesOffViolatesRecoveryBound) runs the
 // same weather with the degradation policies disabled and the thresholds
-// unreachable — the ungoverned build, as a runtime arm so both come from
-// one binary. The tree still survives (linearizable: the governor is a
+// unreachable — the ungoverned arm, from the same binary. The tree still survives (linearizable: the governor is a
 // performance/robustness layer, never a correctness dependency), but the
 // backlog does NOT collapse within the recovery bound: the difference the
 // governor makes, stated as a test.
-//
-// In a -DLOT_HEALTH=OFF build the governor does not exist; this file then
-// registers only the survival half (OffBuildSurvivesStorm): same weather,
-// same linearizability + reconciliation + leak assertions, manual cleanup
-// where the governed build would have recovered on its own.
 //
 // Obs reconciliation under faults: an insert killed by an injected
 // bad_alloc records no history event. The on-time policy allocates before
@@ -102,8 +96,6 @@ inject::StormSpec storm_spec(const StormParams& p) {
   return s;
 }
 
-#if !defined(LOT_DISABLE_HEALTH)
-
 using lot::health::governor;
 
 /// Storm thresholds: reachable by one test-sized run (the defaults are
@@ -132,25 +124,6 @@ void configure_governor(const StormParams& p) {
                                        : unreachable_thresholds());
   lot::health::set_policies_enabled(p.governed);
 }
-
-State sample_governor(lot::reclaim::EbrDomain& domain) {
-  return governor().sample(domain);
-}
-
-std::uint32_t recovery_bound_ticks() { return governor().recovery_bound(); }
-
-void teardown_governor() { governor().reset(); }
-
-#else  // LOT_DISABLE_HEALTH — no governor; the campaign reduces to the
-       // survival half with a fixed stand-in bound for the (ungoverned)
-       // backlog-freeze observation.
-
-void configure_governor(const StormParams&) {}
-State sample_governor(lot::reclaim::EbrDomain&) { return State::kHealthy; }
-std::uint32_t recovery_bound_ticks() { return 10; }
-void teardown_governor() {}
-
-#endif  // LOT_DISABLE_HEALTH
 
 template <typename MapT>
 void run_storm_campaign(const StormParams& p) {
@@ -204,7 +177,7 @@ void run_storm_campaign(const StormParams& p) {
     std::atomic<std::uint8_t> max_state{0};
     std::thread ticker([&] {
       while (!stop_ticker.load()) {
-        const auto st = static_cast<std::uint8_t>(sample_governor(domain));
+        const auto st = static_cast<std::uint8_t>(governor().sample(domain));
         std::uint8_t seen = max_state.load();
         while (st > seen && !max_state.compare_exchange_weak(seen, st)) {
         }
@@ -280,30 +253,27 @@ void run_storm_campaign(const StormParams& p) {
     // watchdog are exactly what the governor exists to see.
     EXPECT_GE(domain.pending_retired(), p.high_water)
         << "the straggler should have frozen a backlog past the mark";
-    sample_governor(domain);
-#if !defined(LOT_DISABLE_HEALTH)
+    governor().sample(domain);
     if (p.governed) {
       EXPECT_GE(governor().state(), State::kDegraded)
           << "governor never reacted to the storm";
       EXPECT_GE(static_cast<State>(max_state.load()), State::kDegraded);
       EXPECT_GE(governor().transitions(), 1u);
     }
-#endif
 
     // ---- recovery ----------------------------------------------------
     straggler_release = true;
     straggler.join();
 
-    const std::uint32_t bound = recovery_bound_ticks();
+    const std::uint32_t bound = governor().recovery_bound();
     std::uint32_t ticks_used = 0;
     for (; ticks_used < bound; ++ticks_used) {
-      const State st = sample_governor(domain);
+      const State st = governor().sample(domain);
       if (st == State::kHealthy && domain.pending_retired() < p.high_water) {
         break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-#if !defined(LOT_DISABLE_HEALTH)
     if (p.governed) {
       EXPECT_LT(ticks_used, bound)
           << "governor failed its documented recovery bound";
@@ -316,10 +286,8 @@ void run_storm_campaign(const StormParams& p) {
           ticks_used, bound,
           lot::health::state_name(static_cast<State>(max_state.load())),
           static_cast<unsigned long long>(survived_oom.load()));
-    } else
-#endif
-    {
-      // The ungoverned arm (policies off, or the OFF build): no boosted
+    } else {
+      // The ungoverned arm (policies off): no boosted
       // drain exists, so the backlog sits frozen past the mark after the
       // same bound — the recovery property the governed arms prove is
       // violated without the governor.
@@ -403,7 +371,7 @@ void run_storm_campaign(const StormParams& p) {
     const auto stats = domain.stats();
     EXPECT_EQ(stats.emergency_leaks, 0u);
     EXPECT_EQ(domain.pending_retired(), 0u);
-    teardown_governor();
+    governor().reset();
   }
   EXPECT_EQ(AllocStats::live(), live_before) << "node leak across the storm";
 }
@@ -412,8 +380,6 @@ using LoBst =
     lot::lo::LoMap<std::int64_t, std::int64_t, std::less<std::int64_t>, false>;
 using LoAvl =
     lot::lo::LoMap<std::int64_t, std::int64_t, std::less<std::int64_t>, true>;
-
-#if !defined(LOT_DISABLE_HEALTH)
 
 TEST(LoStormStress, BstRecoversFromStorm) {
   StormParams p;
@@ -441,8 +407,8 @@ TEST(LoStormStress, PartialAvlRecoversFromStorm) {
   run_storm_campaign<lot::lo::PartialAvlMap<std::int64_t, std::int64_t>>(p);
 }
 
-// Negative control: same weather, policies off and thresholds unreachable
-// (the ungoverned build as a runtime arm). The tree itself must still be
+// Negative control: same weather, policies off and thresholds unreachable.
+// The tree itself must still be
 // correct — the governor is never a correctness dependency — but the
 // recovery property the governed arms prove is violated.
 TEST(LoStormStress, GovernorPoliciesOffViolatesRecoveryBound) {
@@ -450,17 +416,5 @@ TEST(LoStormStress, GovernorPoliciesOffViolatesRecoveryBound) {
   p.governed = false;
   run_storm_campaign<LoBst>(p);
 }
-
-#else  // LOT_DISABLE_HEALTH
-
-// The compile-out build still has to ride out the same weather — the
-// governor is an optimization, never a correctness layer.
-TEST(LoStormStress, OffBuildSurvivesStorm) {
-  StormParams p;
-  p.governed = false;
-  run_storm_campaign<LoBst>(p);
-}
-
-#endif  // LOT_DISABLE_HEALTH
 
 }  // namespace

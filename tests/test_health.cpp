@@ -3,8 +3,7 @@
 // epoch-lag persistence rule, the transition log, the policy predicates,
 // a real EBR stall episode round-trip (Degraded and back within the
 // documented recovery bound), and the pool's health-gated emergency
-// reserve. The OFF build (-DLOT_HEALTH=OFF) compiles this same file and
-// proves every hook is inert and the Governor an empty type.
+// reserve.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +11,6 @@
 #include <cstdint>
 #include <new>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "health/health.hpp"
@@ -31,57 +29,10 @@ struct Tracked {
 };
 std::atomic<int> Tracked::live{0};
 
-#if defined(LOT_DISABLE_HEALTH)
-
-// The compile-out contract: no governor state exists in an OFF build, and
-// every hook is an inert inline the optimizer can delete.
-static_assert(!lot::health::kHealthCompiled,
-              "LOT_DISABLE_HEALTH build must report kHealthCompiled=false");
-static_assert(std::is_empty_v<lot::health::Governor>,
-              "OFF-build Governor must stay an empty type");
-
-TEST(HealthOff, HooksAreInert) {
-  lot::reclaim::EbrDomain domain;
-  lot::health::maybe_sample_tick(domain);
-  lot::health::writer_gate(domain);
-  lot::health::publish_state(State::kCritical);
-  lot::health::note_contention();
-  EXPECT_EQ(lot::health::current_state(), State::kHealthy);
-  EXPECT_EQ(lot::health::transition_count(), 0u);
-  EXPECT_EQ(lot::health::tick_count(), 0u);
-  EXPECT_EQ(lot::health::contention_events(), 0u);
-  EXPECT_FALSE(lot::health::shed_rotations());
-  EXPECT_EQ(lot::health::ebr_drain_shift(), 0u);
-  EXPECT_FALSE(lot::health::prefer_emergency_reserve());
-  EXPECT_EQ(lot::health::admission_backoff_level(), 0u);
-  const auto v = lot::health::view();
-  EXPECT_EQ(v.state, State::kHealthy);
-  EXPECT_EQ(v.transitions, 0u);
-  EXPECT_EQ(v.ticks, 0u);
-}
-
-TEST(HealthOff, EmergencyReserveNeverGrants) {
-  // Without the governor the pool's exhaustion contract is exactly the
-  // seed's: limit reached + fallback off => bad_alloc, reserve untouched.
-  lot::reclaim::SizePool pool(64, 8);
-  pool.set_slab_limit(1);
-  pool.set_fallback_enabled(false);
-  std::vector<void*> slots;
-  for (std::size_t i = 0; i < pool.slots_per_slab(); ++i) {
-    slots.push_back(pool.allocate());
-  }
-  EXPECT_THROW(pool.allocate(), std::bad_alloc);
-  for (void* s : slots) pool.deallocate(s);
-}
-
-#else  // governor compiled in
-
 using lot::health::Governor;
 using lot::health::governor;
 using lot::health::Signals;
 using lot::health::Thresholds;
-
-static_assert(lot::health::kHealthCompiled);
 
 // Every test shares the process-wide governor; reset() on both sides keeps
 // them order-independent.
@@ -379,7 +330,5 @@ TEST_F(HealthTest, ConcurrentGatesAndSamplesAreRaceFree) {
   for (auto& w : writers) w.join();
   EXPECT_GT(governor().ticks(), 0u);
 }
-
-#endif  // LOT_DISABLE_HEALTH
 
 }  // namespace

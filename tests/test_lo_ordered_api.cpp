@@ -546,7 +546,7 @@ TYPED_TEST(OrderedApiTest, NextChainMonotoneUnderChurn) {
 //
 // MVCC snapshot views (DESIGN.md §16). LOT_MVCC=OFF keeps the pre-MVCC
 // weak-scan contract bit-for-bit: the scaffolding collapses to empty
-// stand-ins exactly like the LOT_OBS / LOT_HEALTH off-gates, the node
+// stand-ins exactly like the LOT_OBS off-gate, the node
 // sheds its stamp fields, and snapshot() disappears from the API.
 
 #if defined(LOT_DISABLE_MVCC)

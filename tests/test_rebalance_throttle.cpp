@@ -3,18 +3,16 @@
 // rotations — the height bookkeeping still runs, so the cached heights stay
 // exact and LoCore::repair_balance() can converge the tree back to the
 // strict AVL bound at quiescence. These tests drive the throttle
-// deterministically through the set_contention_heat() hook (single-threaded,
-// 1-core-CI-safe), pin the runtime knob's semantics, and prove quiescent
-// convergence after genuinely contended churn. The whole file stays
-// meaningful in -DLOT_REBALANCE_THROTTLE=OFF builds: every branch checks
-// kRebalanceThrottleCompiled and asserts the unconditional-rotation
-// behavior instead.
+// deterministically through the set_contention_heat() hook (single-threaded),
+// pin the runtime knob's semantics, and prove quiescent convergence after
+// genuinely contended churn.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "health/governor.hpp"
 #include "lo/avl.hpp"
 #include "lo/rebalance.hpp"
 #include "lo/validate.hpp"
@@ -28,18 +26,39 @@ using V = std::int64_t;
 using lot::lo::AvlMap;
 namespace detail = lot::lo::detail;
 
-// gtest runs every test on the same thread, so the TLS heat and the global
-// knob must be restored no matter how a test exits.
+// gtest runs every test on the same thread, so the TLS heat, the throttle
+// knob and the governor (whose reset() re-enables its policies) must be
+// restored no matter how a test exits.
 struct ThrottleStateGuard {
-  ThrottleStateGuard() {
+  ThrottleStateGuard() { restore(); }
+  ~ThrottleStateGuard() { restore(); }
+  static void restore() {
     detail::reset_contention_heat();
     detail::set_rebalance_throttle(true);
-  }
-  ~ThrottleStateGuard() {
-    detail::reset_contention_heat();
-    detail::set_rebalance_throttle(true);
+    lot::health::governor().reset();
   }
 };
+
+// Concurrent mixed churn over a small key range: the writers heat up via
+// failed validations and lock retries.
+void contended_churn(AvlMap<K, V>& m) {
+  constexpr int kThreads = 4;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      lot::util::Xoshiro256 rng(911 + t);
+      for (int i = 0; i < 30'000; ++i) {
+        const K k = static_cast<K>(rng.next_below(2'048));
+        if (rng.percent(55)) {
+          m.insert(k, k);
+        } else {
+          m.erase(k);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+}
 
 // Ascending inserts with the heat pinned at the cap before every op: each
 // climb finds a |bf| >= 2 anchor and must defer its rotation, leaving a
@@ -61,21 +80,16 @@ TEST(RebalanceThrottle, HotWriterDefersAndRepairConverges) {
   const auto loose = lot::lo::validate(m, /*check_heights=*/false);
   ASSERT_TRUE(loose.ok) << loose.to_string();
 
-  if constexpr (detail::kRebalanceThrottleCompiled) {
-    const auto strict_before = lot::lo::validate(m, /*check_heights=*/true);
-    EXPECT_FALSE(strict_before.ok)
-        << "a sorted fill with every rotation deferred cannot satisfy the "
-           "strict AVL bound — the throttle never engaged";
+  const auto strict_before = lot::lo::validate(m, /*check_heights=*/true);
+  EXPECT_FALSE(strict_before.ok)
+      << "a sorted fill with every rotation deferred cannot satisfy the "
+         "strict AVL bound — the throttle never engaged";
 #if !defined(LOT_DISABLE_OBS)
-    EXPECT_GT(obs1.counter(lot::obs::Counter::kRotationsDeferred) -
-                  obs0.counter(lot::obs::Counter::kRotationsDeferred),
-              0u);
+  EXPECT_GT(obs1.counter(lot::obs::Counter::kRotationsDeferred) -
+                obs0.counter(lot::obs::Counter::kRotationsDeferred),
+            0u);
 #endif
-    EXPECT_GT(m.repair_balance(), 0u);
-  } else {
-    // Compiled out: rotations ran unconditionally despite the pinned heat.
-    EXPECT_EQ(m.repair_balance(), 0u);
-  }
+  EXPECT_GT(m.repair_balance(), 0u);
 
   const auto strict = lot::lo::validate(m, /*check_heights=*/true);
   EXPECT_TRUE(strict.ok) << strict.to_string();
@@ -105,9 +119,6 @@ TEST(RebalanceThrottle, RuntimeKnobOffRotatesUnconditionally) {
 // rotating on its own — the throttle is adaptive, not a latch.
 TEST(RebalanceThrottle, HeatCoolsWithProgress) {
   ThrottleStateGuard guard;
-  if constexpr (!detail::kRebalanceThrottleCompiled) {
-    GTEST_SKIP() << "throttle compiled out (LOT_REBALANCE_THROTTLE=OFF)";
-  }
   AvlMap<K, V> m;
   // Just above the threshold: the first climbs defer, but every climb
   // iteration cools by one, so well before the fill ends the thread is
@@ -120,28 +131,42 @@ TEST(RebalanceThrottle, HeatCoolsWithProgress) {
   EXPECT_TRUE(rep.ok) << rep.to_string();
 }
 
-// Real contention end to end: concurrent mixed churn heats the writers via
-// failed validations and lock retries; whatever imbalance their deferrals
+// Both switches off under real contention: neither the TLS heat nor the
+// governor's shedding may defer a single rotation, so the deferral counter
+// stays flat. Whatever imbalance concurrent climbs leave behind, one
+// quiescent repair pass restores the strict bound.
+TEST(RebalanceThrottle, RuntimeKnobOffNeverDefersUnderContention) {
+  ThrottleStateGuard guard;
+  detail::set_rebalance_throttle(false);
+  lot::health::set_policies_enabled(false);
+  AvlMap<K, V> m;
+  const auto obs0 = lot::obs::Registry::instance().snapshot();
+  // Contention events are sparse (a handful per round), so churn until
+  // there have been about as many as make the throttle-on arm defer;
+  // without any, a zero deferral count would prove nothing.
+  for (int round = 0; round < 20 && lot::health::contention_events() < 16;
+       ++round) {
+    contended_churn(m);
+  }
+  EXPECT_GT(lot::health::contention_events(), 0u);
+  const auto obs1 = lot::obs::Registry::instance().snapshot();
+  if constexpr (lot::obs::kEnabled) {
+    EXPECT_EQ(obs1.counter(lot::obs::Counter::kRotationsDeferred) -
+                  obs0.counter(lot::obs::Counter::kRotationsDeferred),
+              0u);
+  }
+  m.repair_balance();
+  const auto rep = lot::lo::validate(m, /*check_heights=*/true);
+  EXPECT_TRUE(rep.ok) << rep.to_string();
+  EXPECT_EQ(m.repair_balance(), 0u);
+}
+
+// Real contention end to end: whatever imbalance the writers' deferrals
 // leave behind, one quiescent repair pass restores the strict AVL bound.
 TEST(RebalanceThrottle, QuiescentConvergenceAfterContendedChurn) {
   ThrottleStateGuard guard;
   AvlMap<K, V> m;
-  constexpr int kThreads = 4;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      lot::util::Xoshiro256 rng(911 + t);
-      for (int i = 0; i < 30'000; ++i) {
-        const K k = static_cast<K>(rng.next_below(2'048));
-        if (rng.percent(55)) {
-          m.insert(k, k);
-        } else {
-          m.erase(k);
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
+  contended_churn(m);
   m.repair_balance();
   const auto rep = lot::lo::validate(m, /*check_heights=*/true);
   EXPECT_TRUE(rep.ok) << rep.to_string();
