@@ -17,10 +17,10 @@
 #                  write path vs pre-PR root restart vs resume without the
 #                  rotation throttle, uniform and Zipf(0.99) mixes, restart
 #                  and resume counters in every row
-#   BENCH_7.json — governor ablation (ablation_storm): policies on vs off,
-#                  calm weather (the fault-free overhead row pair) and a
-#                  guard-stall storm plateau (degradation-by-design vs
-#                  by-accident)
+#   BENCH_7.json — governor ablation, policies on vs off in calm weather
+#                  and under a guard-stall storm plateau; kept as a record
+#                  only (its bench binary is gone: the policies it priced
+#                  were deleted, EXPERIMENTS.md A10)
 #   BENCH_8.json — shard ablation (ablation_shard): ShardedMap at
 #                  shards ∈ {1,2,4,8} over the contended update-heavy mix,
 #                  uniform / Zipf(0.99) hot-shard / 10%-scan arms, plus the
@@ -47,7 +47,6 @@ case "$OUT" in
   *BENCH_3*) TARGET=ablation_alloc ;;
   *BENCH_5*) TARGET=ablation_obs ;;
   *BENCH_6*) TARGET=ablation_restart ;;
-  *BENCH_7*) TARGET=ablation_storm ;;
   *BENCH_8*) TARGET=ablation_shard ;;
   *BENCH_10*) TARGET=ablation_mvcc ;;
   *) TARGET=ablation_range ;;
@@ -85,10 +84,6 @@ elif [ "$TARGET" = ablation_obs ]; then
   rm -f "${OUT}.on.tmp" "${OUT}.off.tmp"
 elif [ "$TARGET" = ablation_restart ]; then
   ./build/bench/ablation_restart \
-    --threads="$THREADS" --ranges=20000 \
-    --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
-elif [ "$TARGET" = ablation_storm ]; then
-  ./build/bench/ablation_storm \
     --threads="$THREADS" --ranges=20000 \
     --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
 elif [ "$TARGET" = ablation_shard ]; then

@@ -38,13 +38,14 @@
 #   8. the chaos storm campaign under TSan: the seeded fault-storm
 #      envelope (ramp/hold/release allocation failures + guard-stall
 #      swarms + a pinned-epoch straggler) with the overload governor
-#      required to degrade and then recover within its documented bound,
-#      every access instrumented — the governor's sampling, the storm
-#      scheduler's rate updates and the degraded write paths all race by
-#      design, and this stage proves they race benignly. Its policies-off
-#      arm (also run uninstrumented in stage 2) rides out the same weather
-#      ungoverned, proving the health layer is never a correctness
-#      dependency;
+#      required to degrade and then, through its one policy (a sample at
+#      Degraded or worse flushes the caller's domain), recover within its
+#      documented bound, every access instrumented — the governor's
+#      sampling and flushes, the storm scheduler's rate updates and the
+#      faulted write paths all race by design, and this stage proves they
+#      race benignly. Its policies-off arm (also run uninstrumented in
+#      stage 2) rides out the same weather without the flush, breaking
+#      the bound but never correctness;
 #   9. the sharded-layer gate: the ShardedMap linearizability campaign
 #      under TSan (router + k-way merge + per-shard EBR domains, every
 #      access instrumented) plus the shards=1 degenerate-equivalence

@@ -88,8 +88,8 @@ Signals Governor::sample_signals_locked(reclaim::EbrDomain& domain) {
   // lag and stall take the worst domain (one wedged reader is the
   // failure), and the pool fallback count is already process-global.
   Signals s;
-  (void)domain;  // the caller's domain matters to sample()'s drain boost,
-                 // not to the observation
+  (void)domain;  // the caller's domain matters to sample()'s flush, not
+                 // to the observation
   reclaim::EbrDomain::for_each_domain([&s](reclaim::EbrDomain& d) {
     const auto st = d.stats();
     s.backlog += st.pending_retired;
@@ -167,8 +167,8 @@ State Governor::sample(reclaim::EbrDomain& domain) {
   const Signals s = sample_signals_locked(domain);
   const State next = apply_locked(s);
   lk.unlock();
-  // Drain boost outside the lock: flush() walks every record and may free
-  // a large backlog; other ticks can keep skipping past meanwhile.
+  // Flush outside the lock: flush() walks every record and may free a
+  // large backlog; other ticks can keep skipping past meanwhile.
   if (next >= State::kDegraded && policies_enabled()) domain.flush();
   return next;
 }
@@ -222,21 +222,5 @@ Governor& governor() {
   static Governor g;
   return g;
 }
-
-namespace detail {
-
-void admission_pause() {
-  const unsigned level = admission_backoff_level();
-  thread_local sync::JitterBackoff backoff;
-  if (level == 0) {
-    // Policies off, or the state recovered between the gate's fast-path
-    // check and here: let the window cool for the next episode.
-    backoff.reset();
-    return;
-  }
-  for (unsigned i = 0; i < level; ++i) backoff.pause();
-}
-
-}  // namespace detail
 
 }  // namespace lot::health

@@ -1,8 +1,14 @@
 // The overload governor: fuses the process's independent pressure signals
 // — EBR backlog / epoch lag / stall watchdog, pool fallback debt,
-// cross-thread contention heat, obs restart counters — into the single
-// health state published through health/state.hpp, with hysteresis so a
-// flapping signal cannot make the policies oscillate.
+// cross-thread contention heat, obs restart counters — into one
+// process-wide health state, with hysteresis so a flapping signal cannot
+// make the state oscillate.
+//
+// One policy acts on the state: at Degraded or worse a governor sample
+// flushes the sampling caller's EBR domain (sample() below). Pressured is
+// early-warning telemetry only. set_policies_enabled(false) turns the
+// flush off at runtime while the state machine keeps running, which is
+// the storm campaign's ungoverned arm.
 //
 // Sampling model: there is no governor thread. Writers tick the governor
 // on a stride (maybe_sample_tick, every kSampleStride-th write per
@@ -29,12 +35,94 @@
 
 // Keep reclaim/ebr.hpp ahead of obs/counters.hpp: this order fixes the
 // order in which their inline functions are emitted into every binary.
-#include "health/state.hpp"
 #include "reclaim/ebr.hpp"
 #include "obs/counters.hpp"
-#include "sync/backoff.hpp"
 
 namespace lot::health {
+
+/// Process health, ordered by severity. The governor escalates directly to
+/// whatever severity the signals demand but de-escalates one level at a
+/// time (hysteresis; see the header comment).
+enum class State : std::uint8_t {
+  kHealthy = 0,   // all signals below entry thresholds
+  kPressured,     // early pressure: telemetry only
+  kDegraded,      // sustained pressure: samples flush the caller's domain
+  kCritical,      // survival mode: as Degraded
+};
+
+constexpr const char* state_name(State s) {
+  switch (s) {
+    case State::kHealthy:   return "healthy";
+    case State::kPressured: return "pressured";
+    case State::kDegraded:  return "degraded";
+    case State::kCritical:  return "critical";
+  }
+  return "?";
+}
+
+namespace detail {
+
+/// The published state plus the governor-maintained odometers that obs
+/// snapshots. Function-local static: immortal, no destruction-order
+/// hazards, reachable for LeakSanitizer.
+struct StateCell {
+  std::atomic<std::uint8_t> state{0};           // State, relaxed-published
+  std::atomic<std::uint64_t> transitions{0};    // monotonic transition count
+  std::atomic<std::uint64_t> ticks{0};          // governor samples taken
+  std::atomic<std::uint64_t> contention_events{0};  // heat events, all threads
+  std::atomic<bool> policies{true};             // master switch (flush on/off)
+};
+
+inline StateCell& state_cell() {
+  static StateCell cell;
+  return cell;
+}
+
+}  // namespace detail
+
+inline State current_state() {
+  return static_cast<State>(
+      detail::state_cell().state.load(std::memory_order_relaxed));
+}
+
+/// Governor-only: publish a new state. Not for general use.
+inline void publish_state(State s) {
+  detail::state_cell().state.store(static_cast<std::uint8_t>(s),
+                                   std::memory_order_relaxed);
+}
+
+inline std::uint64_t transition_count() {
+  return detail::state_cell().transitions.load(std::memory_order_relaxed);
+}
+
+inline std::uint64_t tick_count() {
+  return detail::state_cell().ticks.load(std::memory_order_relaxed);
+}
+
+/// Cross-thread contention odometer: the process-wide companion of the TLS
+/// heat score in lo/rebalance.hpp (ROADMAP item 2(c)). Fed by
+/// contention_heat_add(); the governor differentiates it per tick.
+inline void note_contention() {
+  auto& c = detail::state_cell().contention_events;
+  c.fetch_add(1, std::memory_order_relaxed);
+}
+
+inline std::uint64_t contention_events() {
+  return detail::state_cell().contention_events.load(
+      std::memory_order_relaxed);
+}
+
+/// Master policy switch: when off, the state machine still runs (signals
+/// are still fused and published — obs keeps reporting) but sample() no
+/// longer flushes at Degraded. This is the storm campaign's negative
+/// control, as a runtime knob so both arms come from one binary.
+inline void set_policies_enabled(bool on) {
+  detail::state_cell().policies.store(on, std::memory_order_relaxed);
+}
+
+inline bool policies_enabled() {
+  return detail::state_cell().policies.load(std::memory_order_relaxed);
+}
 
 /// What obs embeds in a Snapshot.
 struct View {
@@ -99,22 +187,20 @@ class Governor {
   /// matter which domain's writer ticks the governor. Also advances the
   /// heat/restart differencing baselines. Public so tests can inspect
   /// what a sample would see without applying it; `domain` is the
-  /// caller's home domain and only directs the drain boost in sample().
+  /// caller's home domain and only directs the flush in sample().
   Signals sample_signals(reclaim::EbrDomain& domain);
 
   /// Feed one sample through the state machine. Returns the new state.
-  /// Synthetic-signal entry point for the unit tests; skips the drain
-  /// boost (no domain at hand).
+  /// Synthetic-signal entry point for the unit tests; skips the flush
+  /// (no domain at hand).
   State apply(const Signals& s);
 
   /// One full governor tick: collect (all domains), apply, and — at
-  /// Degraded or worse with policies enabled — boost the drain by
-  /// flushing the CALLER's domain only. Each pressured domain's own
-  /// writers flush it on their ticks; flushing every registered domain
-  /// here would make the sampling thread acquire an EBR record in each
-  /// (and overflow the fixed TLS record cache in heavily sharded
-  /// processes). Concurrent callers skip (try-lock); returns the state
-  /// either way.
+  /// Degraded or worse with policies enabled — flush the CALLER's domain
+  /// only. Each pressured domain's own writers flush it on their ticks;
+  /// flushing every registered domain here would make the sampling thread
+  /// acquire an EBR record in each. Concurrent callers skip (try-lock);
+  /// returns the state either way.
   State sample(reclaim::EbrDomain& domain);
 
   /// Clock-gated sample: at most one per min_interval_us. The writers'
@@ -128,7 +214,7 @@ class Governor {
   /// Documented recovery bound, in governor ticks: after the storm
   /// releases and signals go calm, the state machine needs at most
   /// 3 * recover_ticks calm samples from Critical, plus slack (4 ticks)
-  /// for the boosted drain to get the signals below the exit thresholds.
+  /// for the flush to get the signals below the exit thresholds.
   std::uint32_t recovery_bound() const {
     return 4 + 3 * thresholds().recover_ticks;
   }
@@ -171,7 +257,9 @@ Governor& governor();
 
 /// Per-thread write-op stride between governor ticks. Coarse on purpose:
 /// the tick itself is clock-gated, the stride only bounds how much TLS
-/// arithmetic the fault-free hot path pays.
+/// arithmetic the fault-free hot path pays. Writers tick *before* taking
+/// their EBR guard, so a tick's flush is never held back by the ticking
+/// thread's own pin.
 inline constexpr std::uint32_t kSampleStride = 2048;
 
 inline void maybe_sample_tick(reclaim::EbrDomain& domain) {
@@ -180,22 +268,6 @@ inline void maybe_sample_tick(reclaim::EbrDomain& domain) {
     countdown = kSampleStride;
     governor().timed_sample(domain);
   }
-}
-
-namespace detail {
-/// Out-of-line slow path: bounded jittered pauses per the current
-/// admission level (governor.cpp).
-void admission_pause();
-}  // namespace detail
-
-/// The writer admission gate. Call *before* taking the EBR guard: a
-/// backing-off writer must not pin an epoch, or the backoff would hold
-/// back exactly the reclamation it is trying to help. Fault-free cost is
-/// one TLS decrement plus one relaxed load.
-inline void writer_gate(reclaim::EbrDomain& domain) {
-  maybe_sample_tick(domain);
-  if (current_state() == State::kHealthy) return;
-  detail::admission_pause();
 }
 
 inline View view() {

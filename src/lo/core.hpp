@@ -548,13 +548,15 @@ class LoCore {
       return Cursor(collect(nullptr, nullptr, obs::tls()));
     }
 
-    /// Positioned start, mirroring the live cursor(lo): the descent is
-    /// paid for with an ordered-locate count, same as there.
-    Cursor cursor(const K& lo) const {
+    /// Cursor over [lo, hi) of the cut — the sharded snapshot's merge
+    /// input. Bounded, so a short scan materializes only its own span,
+    /// not the whole tail past lo. The descent is paid for with an
+    /// ordered-locate count, same as the live cursor(lo).
+    Cursor cursor(const K& lo, const K& hi) const {
       if (map_ == nullptr) return Cursor({});
       const auto tc = obs::tls();
       tc.add(obs::Counter::kOrderedLocates);
-      return Cursor(collect(&lo, nullptr, tc));
+      return Cursor(collect(&lo, &hi, tc));
     }
 
     /// Drops the registry slot and the reclamation pin early (the
@@ -739,9 +741,9 @@ class LoCore {
   /// Allocation failure (std::bad_alloc) offers the strong guarantee with
   /// either policy; see the header comment for the per-policy discipline.
   bool insert(const K& k, const V& v) {
-    // Admission gate before the guard: a writer backing off under pressure
-    // must not pin an epoch while it waits (health/governor.hpp).
-    health::writer_gate(*domain_);
+    // Governor tick before the guard: a tick's flush must not be held
+    // back by this thread's own pin (health/governor.hpp).
+    health::maybe_sample_tick(*domain_);
     // Contention heat is accounted to this map's domain for the duration
     // of the write (ROADMAP 2(c)): a shard-private domain gets its own
     // TLS heat slot, so heat built here never throttles another shard.
@@ -959,8 +961,8 @@ class LoCore {
   /// the only allocation is the retire-list bookkeeping inside
   /// EbrDomain::retire, which is OOM-safe (DESIGN.md §9).
   bool erase(const K& k) {
-    // Admission gate before the guard; see insert().
-    health::writer_gate(*domain_);
+    // Governor tick before the guard; see insert().
+    health::maybe_sample_tick(*domain_);
     detail::HeatScope heat_scope(heat_scope_domain_());  // see insert()
     auto g = domain_->guard();
     inject::stall_point(inject::Site::kGuardStallWriter);
@@ -1123,12 +1125,8 @@ class LoCore {
       progress = false;
       // The repairing thread may itself still be hot from the churn that
       // caused the deferrals; a throttled repair would defer its own
-      // repairs and never converge. Same for the governor's process-wide
-      // shedding: the published state may still read Degraded right after
-      // a storm, and repair is exactly how the tree gets *out* of that
-      // state, so it bypasses the shed (RAII TLS override).
+      // repairs and never converge.
       detail::HeatScope heat_scope(heat_scope_domain_());  // see insert()
-      detail::RotationShedOverride allow_rotations;
       detail::reset_contention_heat();
       auto g = domain_->guard();
       recompute_heights();

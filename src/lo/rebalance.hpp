@@ -24,7 +24,7 @@
 #include <utility>
 
 #include "check/perturb.hpp"
-#include "health/state.hpp"
+#include "health/governor.hpp"
 #include "lo/detail.hpp"
 #include "lo/node.hpp"
 #include "obs/counters.hpp"
@@ -153,7 +153,7 @@ inline std::uint32_t& contention_heat_tls() {
 
 /// One contention event (validation failure, lock retry) observed by the
 /// calling thread. Also feeds the governor's process-wide odometer
-/// (health/state.hpp) and the scope domain's per-shard odometer — the TLS
+/// (health/governor.hpp) and the scope domain's per-shard odometer — the TLS
 /// heat is this thread's view of this shard, the odometers are everyone's.
 inline void contention_heat_add() {
   health::note_contention();
@@ -182,46 +182,9 @@ inline void set_rebalance_throttle(bool on) {
   throttle_flag().store(on, std::memory_order_relaxed);
 }
 
-inline bool heat_rotation_throttled() {
+inline bool rotation_throttled() {
   return contention_heat_tls() >= kHeatHotThreshold &&
          throttle_flag().load(std::memory_order_relaxed);
-}
-
-// ---- governor-driven rotation shedding (DESIGN.md §14) ----
-//
-// The TLS heat above only sees the calling thread's own contention; the
-// overload governor publishes a process-wide verdict. At Degraded or worse
-// *every* thread defers rotations — the cross-thread heat signal the
-// ROADMAP's "generalize beyond TLS" item asked for. Switched by
-// health::set_policies_enabled, independent of set_rebalance_throttle.
-
-/// TLS escape hatch: LoCore::repair_balance() restores strict AVL shape at
-/// quiescence and must rotate even while the published state is still
-/// Degraded — without the override, repair under a not-yet-recovered
-/// governor would defer forever.
-inline bool& rotation_shed_override_tls() {
-  thread_local bool bypass = false;
-  return bypass;
-}
-
-/// RAII scope for the override (exception-safe: repair_balance's walk can
-/// throw through from recompute passes in OOM campaigns).
-class RotationShedOverride {
- public:
-  RotationShedOverride() : prev_(rotation_shed_override_tls()) {
-    rotation_shed_override_tls() = true;
-  }
-  ~RotationShedOverride() { rotation_shed_override_tls() = prev_; }
-  RotationShedOverride(const RotationShedOverride&) = delete;
-  RotationShedOverride& operator=(const RotationShedOverride&) = delete;
-
- private:
-  bool prev_;
-};
-
-inline bool rotation_throttled() {
-  if (rotation_shed_override_tls()) return false;
-  return heat_rotation_throttled() || health::shed_rotations();
 }
 
 /// A rotation was deferred under the current scope: attribute it to the

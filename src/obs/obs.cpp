@@ -121,12 +121,10 @@ std::string Snapshot::to_text() const {
                " remote_frees=%" PRIu64 " harvests=%" PRIu64 "\n",
           ebr.pool.slabs, ebr.pool.allocs, ebr.pool.frees,
           ebr.pool.remote_frees, ebr.pool.harvests);
-  appendf(out, "  pool: fallback=%" PRIu64 "/%" PRIu64
-               " emergency_grants=%" PRIu64 " caches=%" PRIu64 "+%" PRIu64
-               " adopted; live_nodes=%" PRIu64 "\n",
+  appendf(out, "  pool: fallback=%" PRIu64 "/%" PRIu64 " caches=%" PRIu64
+               "+%" PRIu64 " adopted; live_nodes=%" PRIu64 "\n",
           ebr.pool.fallback_allocs, ebr.pool.fallback_frees,
-          ebr.pool.emergency_grants, ebr.pool.caches_created,
-          ebr.pool.caches_adopted, live_nodes);
+          ebr.pool.caches_created, ebr.pool.caches_adopted, live_nodes);
   return out;
 }
 
@@ -181,12 +179,11 @@ std::string Snapshot::to_json() const {
                ", \"pool_fallback_frees\": %" PRIu64
                ", \"pool_caches_created\": %" PRIu64
                ", \"pool_caches_adopted\": %" PRIu64
-               ", \"pool_emergency_grants\": %" PRIu64
                ", \"live_nodes\": %" PRIu64 "},\n",
           ebr.pool.slabs, ebr.pool.allocs, ebr.pool.frees,
           ebr.pool.remote_frees, ebr.pool.harvests, ebr.pool.fallback_allocs,
           ebr.pool.fallback_frees, ebr.pool.caches_created,
-          ebr.pool.caches_adopted, ebr.pool.emergency_grants, live_nodes);
+          ebr.pool.caches_adopted, live_nodes);
   appendf(out, "  \"domains_total_pending_retired\": %zu,\n"
                "  \"domains_max_epoch_lag\": %" PRIu64 ",\n"
                "  \"domains_any_stalled\": %s,\n",

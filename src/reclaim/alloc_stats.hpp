@@ -43,7 +43,6 @@ struct PoolSnapshot {
   std::uint64_t fallback_frees = 0;
   std::uint64_t caches_created = 0;   // fresh per-thread caches
   std::uint64_t caches_adopted = 0;   // orphaned caches re-used by new threads
-  std::uint64_t emergency_grants = 0; // pre-armed reserve slabs consumed
 
   std::uint64_t live_slots() const { return allocs - frees; }
   /// Operator-new fallback debt still outstanding — a pressure gauge: the
@@ -72,7 +71,6 @@ struct PoolStats {
   LOT_POOL_COUNTER(fallback_frees)
   LOT_POOL_COUNTER(caches_created)
   LOT_POOL_COUNTER(caches_adopted)
-  LOT_POOL_COUNTER(emergency_grants)
 #undef LOT_POOL_COUNTER
 
   static PoolSnapshot snapshot() {
@@ -86,7 +84,6 @@ struct PoolStats {
     s.fallback_frees = fallback_frees().load(std::memory_order_relaxed);
     s.caches_created = caches_created().load(std::memory_order_relaxed);
     s.caches_adopted = caches_adopted().load(std::memory_order_relaxed);
-    s.emergency_grants = emergency_grants().load(std::memory_order_relaxed);
     return s;
   }
 };

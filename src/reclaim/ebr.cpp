@@ -1,14 +1,12 @@
 #include "reclaim/ebr.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_set>
-
-#include "health/state.hpp"
+#include <vector>
 
 namespace lot::reclaim {
 namespace {
@@ -44,47 +42,55 @@ std::uint64_t this_thread_hash() {
 
 }  // namespace
 
-// Per-thread cache mapping domains to acquired records. Fixed-size linear
-// table: a thread realistically touches one or two domains.
+// Per-thread cache mapping domains to acquired records. A linear table:
+// a thread usually touches one or two domains, so the hit path is a short
+// scan. Entries of destroyed domains are reused on the miss path, so a
+// thread that outlives many domains (one serving successive sharded maps)
+// keeps a table as long as its live domains, never one per domain it saw.
 struct TlsCache {
-  static constexpr std::size_t kEntries = 8;
   struct Entry {
     EbrDomain* domain = nullptr;
     std::uint64_t uid = 0;
     EbrDomain::Record* record = nullptr;
   };
-  Entry entries[kEntries];
+  std::vector<Entry> entries;
+
+  // Caller holds the registry mutex. A uid mismatch means the address now
+  // belongs to a later domain; the entry's own domain is gone.
+  static bool alive(const Entry& e) {
+    return live_domains().count(e.domain) > 0 && e.domain->uid_ == e.uid;
+  }
 
   ~TlsCache() {
     // Release records back to their domains — but only for domains that
     // still exist.
     std::lock_guard<std::mutex> lock(registry_mutex());
     for (auto& e : entries) {
-      if (e.domain != nullptr && live_domains().count(e.domain) > 0 &&
-          e.domain->uid_ == e.uid) {
+      if (e.record != nullptr && alive(e)) {
         e.domain->release_record_of_exiting_thread(e.record);
       }
     }
+    // Leave an empty table, not a dangling one, for any free that runs
+    // later in this thread's teardown (static destructors on main).
+    std::vector<Entry>().swap(entries);
   }
 
   EbrDomain::Record*& slot_for(EbrDomain* d, std::uint64_t uid) {
     for (auto& e : entries) {
       if (e.domain == d && e.uid == uid) return e.record;
     }
+    // Miss: reuse an entry whose domain died (its record went with it) or
+    // whose acquisition never completed. Live entries are never evicted,
+    // so no record is ever dropped while it may still be pinned.
+    std::lock_guard<std::mutex> lock(registry_mutex());
     for (auto& e : entries) {
-      if (e.domain == nullptr || e.record == nullptr) {
-        e.domain = d;
-        e.uid = uid;
-        e.record = nullptr;
+      if (e.record == nullptr || !alive(e)) {
+        e = Entry{d, uid, nullptr};
         return e.record;
       }
     }
-    // A thread juggling more than kEntries domains: recycle the first slot.
-    // (Never happens in this codebase; documented limitation.)
-    entries[0].domain = d;
-    entries[0].uid = uid;
-    entries[0].record = nullptr;
-    return entries[0].record;
+    entries.push_back(Entry{d, uid, nullptr});
+    return entries.back().record;
   }
 };
 
@@ -260,14 +266,8 @@ void EbrDomain::retire_raw(void* p, void (*deleter)(void*)) {
     }
     rec->since_last_scan = 0;
   } else {
-    // Governor drain boost: under pressure the scan threshold shrinks
-    // (halved per ebr_drain_shift level), so reclamation attempts come
-    // earlier and backlogs collapse faster while the process recovers.
-    std::size_t threshold = retire_threshold_.load(std::memory_order_relaxed);
-    if (const unsigned shift = health::ebr_drain_shift(); shift != 0) {
-      threshold = std::max<std::size_t>(1, threshold >> shift);
-    }
-    if (++rec->since_last_scan >= threshold) {
+    if (++rec->since_last_scan >=
+        retire_threshold_.load(std::memory_order_relaxed)) {
       rec->since_last_scan = 0;
       try_advance();
       if (global_epoch_.load(std::memory_order_acquire) !=

@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "health/state.hpp"
-
 #if defined(__SANITIZE_ADDRESS__)
 #define LOT_POOL_ASAN 1
 #elif defined(__has_feature)
@@ -113,60 +111,58 @@ struct SizePool::Cache {
 };
 
 /// Per-thread map from (pool, uid) to the thread's adopted Cache — the
-/// pool-side twin of ebr.cpp's TlsCache, with the same fixed linear table
-/// and the same destructor contract: give the cache back, but only to a
-/// pool that still exists.
+/// pool-side twin of ebr.cpp's TlsCache, with the same growable table that
+/// reuses dead pools' entries on the miss path, and the same destructor
+/// contract: give the cache back, but only to a pool that still exists.
 struct PoolTls {
-  static constexpr std::size_t kEntries = 8;
   struct Entry {
     SizePool* pool = nullptr;
     std::uint64_t uid = 0;
     SizePool::Cache* cache = nullptr;
   };
-  Entry entries[kEntries];
+  std::vector<Entry> entries;
+
+  // Caller holds the registry mutex. A uid mismatch means the address now
+  // belongs to a later pool; the entry's own pool (and cache) are gone.
+  static bool alive(const Entry& e) {
+    return live_pools().count(e.pool) > 0 && e.pool->uid_ == e.uid;
+  }
 
   ~PoolTls() {
     std::lock_guard<std::mutex> lock(registry_mutex());
     for (auto& e : entries) {
-      if (e.pool != nullptr && e.cache != nullptr &&
-          live_pools().count(e.pool) > 0 && e.pool->uid_ == e.uid) {
+      if (e.cache != nullptr && alive(e)) {
         e.pool->release_cache_of_exiting_thread(e.cache);
       }
     }
+    // Frees can still arrive later in this thread's teardown (the global
+    // EbrDomain drains during static destruction); they must find an
+    // empty table, not a dangling one.
+    std::vector<Entry>().swap(entries);
   }
 
   SizePool::Cache*& slot_for(SizePool* p, std::uint64_t uid) {
+    if (Entry* e = find(p, uid)) return e->cache;
+    std::lock_guard<std::mutex> lock(registry_mutex());
     for (auto& e : entries) {
-      if (e.pool == p && e.uid == uid) return e.cache;
-    }
-    for (auto& e : entries) {
-      if (e.pool == nullptr || e.cache == nullptr) {
-        e.pool = p;
-        e.uid = uid;
-        e.cache = nullptr;
+      if (e.cache == nullptr || !alive(e)) {
+        e = Entry{p, uid, nullptr};
         return e.cache;
       }
     }
-    // A thread juggling more than kEntries pools: orphan slot 0's cache (if
-    // its pool is still alive) and recycle the slot. Never happens here —
-    // one pool per node type — but must not leak if it ever does.
-    {
-      std::lock_guard<std::mutex> lock(registry_mutex());
-      Entry& e = entries[0];
-      if (e.cache != nullptr && live_pools().count(e.pool) > 0 &&
-          e.pool->uid_ == e.uid) {
-        e.pool->release_cache_of_exiting_thread(e.cache);
-      }
-    }
-    entries[0].pool = p;
-    entries[0].uid = uid;
-    entries[0].cache = nullptr;
-    return entries[0].cache;
+    entries.push_back(Entry{p, uid, nullptr});
+    return entries.back().cache;
   }
 
   SizePool::Cache* lookup(SizePool* p, std::uint64_t uid) {
+    Entry* e = find(p, uid);
+    return e != nullptr ? e->cache : nullptr;
+  }
+
+ private:
+  Entry* find(SizePool* p, std::uint64_t uid) {
     for (auto& e : entries) {
-      if (e.pool == p && e.uid == uid) return e.cache;
+      if (e.pool == p && e.uid == uid) return &e;
     }
     return nullptr;
   }
@@ -193,11 +189,6 @@ SizePool::SizePool(std::size_t object_bytes, std::size_t object_align)
 #else
   poison_.store(false, std::memory_order_relaxed);
 #endif
-  // Arm the emergency reserve while memory is (presumably) plentiful.
-  // Nothrow: a pool constructed under pressure simply starts unarmed.
-  emergency_mem_.store(::operator new(kSlabBytes, std::align_val_t{kSlabBytes},
-                                      std::nothrow),
-                       std::memory_order_release);
   std::lock_guard<std::mutex> lock(registry_mutex());
   live_pools().insert(this);
 }
@@ -221,10 +212,6 @@ SizePool::~SizePool() {
 #endif
     static_cast<Slab*>(s)->~Slab();
     ::operator delete(s, std::align_val_t{kSlabBytes});
-  }
-  // An unconsumed reserve is raw memory, never constructed as a Slab.
-  if (void* mem = emergency_mem_.load(std::memory_order_relaxed)) {
-    ::operator delete(mem, std::align_val_t{kSlabBytes});
   }
 }
 
@@ -296,19 +283,6 @@ void* SizePool::allocate() {
     c.bump_ptr += slot_bytes_;
     PoolStats::allocs().fetch_add(1, std::memory_order_relaxed);
     return p;
-  }
-  // Break glass before the operator-new fallback, but only while the
-  // governor says the process is Degraded or worse — a Healthy pool that
-  // merely hit a test's slab_limit must keep its seed exhaustion
-  // behaviour (fallback or throw), reserve untouched.
-  if (health::prefer_emergency_reserve()) {
-    if (Slab* s = try_emergency_slab(c)) {
-      (void)s;
-      void* p = c.bump_ptr;
-      c.bump_ptr += slot_bytes_;
-      PoolStats::allocs().fetch_add(1, std::memory_order_relaxed);
-      return p;
-    }
   }
   if (fallback_enabled_.load(std::memory_order_relaxed)) {
     return fallback_allocate();
@@ -408,43 +382,6 @@ SizePool::Slab* SizePool::try_new_slab(Cache& c) {
   slab_count_.fetch_add(1, std::memory_order_relaxed);
   PoolStats::slabs().fetch_add(1, std::memory_order_relaxed);
   return s;
-}
-
-SizePool::Slab* SizePool::try_emergency_slab(Cache& c) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  void* mem = emergency_mem_.exchange(nullptr, std::memory_order_acq_rel);
-  if (mem == nullptr) return nullptr;  // unarmed, or another thread won
-  try {
-    slabs_.push_back(mem);
-  } catch (...) {
-    // Could not record it for dtor cleanup; put the reserve back intact.
-    emergency_mem_.store(mem, std::memory_order_release);
-    return nullptr;
-  }
-  // From here on it is an ordinary slab of this cache — deliberately
-  // *above* slab_limit (the limit models steady-state memory budget; the
-  // reserve is the break-glass exception, visible as emergency_grants).
-  Slab* s = ::new (mem) Slab{this, &c, c.slabs};
-  c.slabs = s;
-  c.bump_ptr = static_cast<char*>(mem) + payload_offset_;
-  c.bump_end = static_cast<char*>(mem) + kSlabBytes;
-  slab_count_.fetch_add(1, std::memory_order_relaxed);
-  PoolStats::slabs().fetch_add(1, std::memory_order_relaxed);
-  PoolStats::emergency_grants().fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
-bool SizePool::rearm_emergency_reserve() {
-  if (emergency_mem_.load(std::memory_order_acquire) != nullptr) return true;
-  void* mem =
-      ::operator new(kSlabBytes, std::align_val_t{kSlabBytes}, std::nothrow);
-  if (mem == nullptr) return false;
-  void* expected = nullptr;
-  if (!emergency_mem_.compare_exchange_strong(expected, mem,
-                                              std::memory_order_acq_rel)) {
-    ::operator delete(mem, std::align_val_t{kSlabBytes});  // lost the race
-  }
-  return true;
 }
 
 void* SizePool::fallback_allocate() {

@@ -111,20 +111,6 @@ class SizePool {
   /// in !NDEBUG and ASan builds, off in plain release builds.
   void set_poison(bool on) { poison_.store(on, std::memory_order_relaxed); }
 
-  /// Emergency-reserve break glass (overload governor, DESIGN.md §14).
-  /// One slab is pre-armed at construction and granted — bypassing
-  /// slab_limit, preferred over the operator-new fallback — only while
-  /// health::prefer_emergency_reserve() says the process is Degraded or
-  /// worse. Rationale: under real memory pressure the fallback's own
-  /// operator new is exactly what is about to fail, while the reserve was
-  /// paid for back when memory was plentiful.
-  bool emergency_armed() const {
-    return emergency_mem_.load(std::memory_order_acquire) != nullptr;
-  }
-  /// Re-arm after a grant consumed the reserve (recovery path / tests).
-  /// Returns false if the slab cannot be had right now.
-  bool rearm_emergency_reserve();
-
   std::size_t slab_count() const {
     return slab_count_.load(std::memory_order_relaxed);
   }
@@ -142,7 +128,6 @@ class SizePool {
 
   bool harvest_remote(Cache& c);   // splice remote stacks into the free list
   Slab* try_new_slab(Cache& c);    // nullptr if capped or OOM
-  Slab* try_emergency_slab(Cache& c);  // consume the pre-armed reserve
   void* fallback_allocate();       // operator-new path; may throw
   void free_slot(Slab* slab, void* p) noexcept;  // slab slot → home list
   void poison_slot(void* p) noexcept;
@@ -158,11 +143,6 @@ class SizePool {
   std::atomic<bool> fallback_enabled_{true};
   std::atomic<bool> poison_;
   std::atomic<std::size_t> slab_count_{0};
-
-  // The pre-armed emergency slab chunk (raw, not yet a Slab). Exchanged
-  // out under mutex_ on grant; null when unarmed (construction-time OOM or
-  // a grant not yet re-armed).
-  std::atomic<void*> emergency_mem_{nullptr};
 
   std::mutex mutex_;            // cache acquire/release, slab creation
   Cache* orphans_ = nullptr;    // caches of exited threads, adoptable

@@ -272,10 +272,8 @@ class ShardedMap {
       const auto tc = obs::tls();
       tc.add(obs::Counter::kRangeOps);
       std::uint64_t reported = 0;
-      SnapMerge merge = merge_from(lo);
+      SnapMerge merge = merge_over(lo, hi);
       while (auto kv = merge.next()) {
-        if (comp_(kv->first, lo)) continue;
-        if (!comp_(kv->first, hi)) break;
         fn(kv->first, kv->second);
         ++reported;
       }
@@ -306,10 +304,10 @@ class ShardedMap {
              std::uint64_t e, key_compare comp)
         : views_(std::move(views)), epoch_(e), comp_(std::move(comp)) {}
 
-    SnapMerge merge_from(const K& lo) const {
+    SnapMerge merge_over(const K& lo, const K& hi) const {
       std::vector<typename MapT::SnapshotView::Cursor> cursors;
       cursors.reserve(views_.size());
-      for (const auto& v : views_) cursors.push_back(v.cursor(lo));
+      for (const auto& v : views_) cursors.push_back(v.cursor(lo, hi));
       return SnapMerge(std::move(cursors), comp_);
     }
 

@@ -11,7 +11,7 @@
 //      epoch piles up retire backlog past the storm thresholds).
 //   3. The storm releases, the straggler unpins, and the governor must
 //      walk back to Healthy within its documented recovery_bound() of
-//      explicit sample ticks while the drain boost collapses the backlog
+//      explicit sample ticks while its flushes collapse the backlog
 //      under the high-water mark.
 //   4. Quiescent: repair_balance converges, structural validation is
 //      clean, the recorded history is linearizable (faults included — an
@@ -19,7 +19,7 @@
 //      the obs counters reconcile exactly against the history.
 //
 // The negative control (GovernorPoliciesOffViolatesRecoveryBound) runs the
-// same weather with the degradation policies disabled and the thresholds
+// same weather with the governor's flush disabled and the thresholds
 // unreachable — the ungoverned arm, from the same binary. The tree still survives (linearizable: the governor is a
 // performance/robustness layer, never a correctness dependency), but the
 // backlog does NOT collapse within the recovery bound: the difference the
@@ -44,7 +44,7 @@
 #include <thread>
 #include <vector>
 
-#include "health/health.hpp"
+#include "health/governor.hpp"
 #include "inject/storm.hpp"
 #include "lo/map.hpp"
 #include "lo/partial.hpp"
@@ -279,7 +279,7 @@ void run_storm_campaign(const StormParams& p) {
           << "governor failed its documented recovery bound";
       EXPECT_EQ(governor().state(), State::kHealthy);
       EXPECT_LT(domain.pending_retired(), p.high_water)
-          << "drain boost failed to collapse the backlog";
+          << "the governor's flushes failed to collapse the backlog";
       std::printf(
           "[ storm    ] recovered to healthy in %u/%u ticks, max state %s, "
           "%llu OOMs survived\n",
@@ -287,8 +287,8 @@ void run_storm_campaign(const StormParams& p) {
           lot::health::state_name(static_cast<State>(max_state.load())),
           static_cast<unsigned long long>(survived_oom.load()));
     } else {
-      // The ungoverned arm (policies off): no boosted
-      // drain exists, so the backlog sits frozen past the mark after the
+      // The ungoverned arm (policies off): no governor flush
+      // runs, so the backlog sits frozen past the mark after the
       // same bound — the recovery property the governed arms prove is
       // violated without the governor.
       EXPECT_EQ(ticks_used, bound);

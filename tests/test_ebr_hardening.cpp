@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -285,6 +286,36 @@ TEST(EbrHardening, OversubscriptionGrowsPoolInsteadOfAborting) {
   for (auto& th : threads) th.join();
   domain.flush();
   domain.flush();
+  EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+// A thread that outlives many domains (one serving successive sharded
+// maps) must reuse the per-thread table entries of dead domains: the
+// record it holds in a long-lived domain stays cached, so coming back
+// neither leaks that record nor acquires a second one. Many domains live
+// at once grow the table instead of evicting one of them.
+TEST(EbrHardening, ThreadOutlivingManyDomainsReusesSlots) {
+  EbrDomain home;
+  { auto g = home.guard(); }
+  for (int i = 0; i < 20; ++i) {
+    EbrDomain passing;
+    auto g = passing.guard();
+    passing.retire(new Tracked(i));
+  }
+  { auto g = home.guard(); }
+  EXPECT_EQ(home.stats().records_in_use, 1u);
+
+  std::vector<std::unique_ptr<EbrDomain>> live;
+  for (int i = 0; i < 20; ++i) {
+    live.push_back(std::make_unique<EbrDomain>());
+    auto g = live.back()->guard();
+  }
+  for (auto& d : live) {
+    auto g = d->guard();
+    EXPECT_EQ(d->stats().records_in_use, 1u);
+  }
+  { auto g = home.guard(); }
+  EXPECT_EQ(home.stats().records_in_use, 1u);
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 

@@ -1,21 +1,19 @@
 // Tests for the overload governor (DESIGN.md §14): threshold escalation,
 // hysteresis de-escalation, no-oscillation under a flapping signal, the
-// epoch-lag persistence rule, the transition log, the policy predicates,
-// a real EBR stall episode round-trip (Degraded and back within the
-// documented recovery bound), and the pool's health-gated emergency
-// reserve.
+// epoch-lag persistence rule, the transition log, the one policy (a
+// sample at Degraded or worse flushes the caller's domain), and a real
+// EBR stall episode round-trip (Degraded and back within the documented
+// recovery bound).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <thread>
 #include <vector>
 
-#include "health/health.hpp"
+#include "health/governor.hpp"
 #include "reclaim/ebr.hpp"
-#include "reclaim/pool.hpp"
 
 namespace {
 
@@ -182,47 +180,52 @@ TEST_F(HealthTest, UnreachableThresholdsDisableTheGovernor) {
   EXPECT_EQ(governor().transitions(), 0u);
 }
 
-TEST_F(HealthTest, PolicyPredicatesFollowPublishedState) {
-  using lot::health::admission_backoff_level;
-  using lot::health::ebr_drain_shift;
-  using lot::health::prefer_emergency_reserve;
-  using lot::health::shed_rotations;
+// Thresholds under which only the backlog signal counts, and only up to
+// `top` (Pressured or Degraded): isolates the one policy from whatever
+// pool debt or contention earlier tests left in the process.
+Thresholds backlog_only_up_to(State top) {
+  Thresholds t;
+  for (int i = 0; i < 3; ++i) {
+    t.backlog[i] = i < static_cast<int>(top) ? 1 : UINT64_MAX;
+    t.fallback[i] = t.heat[i] = UINT64_MAX;
+  }
+  t.lag_ticks = UINT32_MAX;
+  return t;
+}
 
-  lot::health::publish_state(State::kHealthy);
-  EXPECT_FALSE(shed_rotations());
-  EXPECT_EQ(ebr_drain_shift(), 0u);
-  EXPECT_FALSE(prefer_emergency_reserve());
-  EXPECT_EQ(admission_backoff_level(), 0u);
+// The one policy: a sample at Degraded or worse flushes the caller's
+// domain. Pressured is telemetry only, and the master switch turns the
+// flush off while the state machine keeps publishing.
+TEST_F(HealthTest, DrainFlushesOnlyAtDegraded) {
+  lot::reclaim::EbrDomain domain;
+  domain.set_retire_threshold(1u << 20);  // no scan of its own
+  constexpr std::size_t kRetired = 32;
+  for (std::size_t i = 0; i < kRetired; ++i) {
+    domain.retire(new Tracked(static_cast<int>(i)));
+  }
+  ASSERT_EQ(domain.pending_retired(), kRetired);
 
-  lot::health::publish_state(State::kPressured);
-  EXPECT_FALSE(shed_rotations());
-  EXPECT_EQ(admission_backoff_level(), 1u);
+  governor().set_thresholds(backlog_only_up_to(State::kPressured));
+  EXPECT_EQ(governor().sample(domain), State::kPressured);
+  EXPECT_EQ(domain.pending_retired(), kRetired);
 
-  lot::health::publish_state(State::kDegraded);
-  EXPECT_TRUE(shed_rotations());
-  EXPECT_EQ(ebr_drain_shift(), 1u);
-  EXPECT_TRUE(prefer_emergency_reserve());
-  EXPECT_EQ(admission_backoff_level(), 2u);
-
-  lot::health::publish_state(State::kCritical);
-  EXPECT_TRUE(shed_rotations());
-  EXPECT_EQ(ebr_drain_shift(), 2u);
-  EXPECT_EQ(admission_backoff_level(), 4u);
-
-  // The master switch (bench governor-off arm): state stays published —
-  // obs keeps reporting it — but every policy reads "do nothing".
+  governor().reset();
+  governor().set_thresholds(backlog_only_up_to(State::kDegraded));
   lot::health::set_policies_enabled(false);
-  EXPECT_EQ(lot::health::current_state(), State::kCritical);
-  EXPECT_FALSE(shed_rotations());
-  EXPECT_EQ(ebr_drain_shift(), 0u);
-  EXPECT_FALSE(prefer_emergency_reserve());
-  EXPECT_EQ(admission_backoff_level(), 0u);
+  EXPECT_EQ(governor().sample(domain), State::kDegraded);
+  EXPECT_EQ(domain.pending_retired(), kRetired);
+
+  governor().reset();
+  governor().set_thresholds(backlog_only_up_to(State::kDegraded));
+  EXPECT_EQ(governor().sample(domain), State::kDegraded);
+  EXPECT_EQ(domain.pending_retired(), 0u);
+  EXPECT_EQ(Tracked::live.load(), 0);
 }
 
 // End-to-end with a real domain: a pinned straggler trips the stall
 // watchdog, one governor sample lands in Degraded, and after the straggler
 // releases the governor walks back to Healthy within recovery_bound()
-// samples while the drain boost collapses the backlog.
+// samples while its flushes collapse the backlog.
 TEST_F(HealthTest, StallEpisodeDegradesThenRecoversWithinBound) {
   lot::reclaim::EbrDomain domain;
   domain.set_retire_threshold(1);    // every retire attempts an advance
@@ -254,61 +257,22 @@ TEST_F(HealthTest, StallEpisodeDegradesThenRecoversWithinBound) {
   EXPECT_EQ(governor().state(), State::kHealthy);
   EXPECT_LT(ticks_to_healthy, governor().recovery_bound());
 
-  // The sample-driven flushes (drain boost) plus two explicit ones leave
-  // nothing behind.
+  // The sample-driven flushes plus two explicit ones leave nothing
+  // behind.
   domain.flush();
   domain.flush();
   EXPECT_EQ(Tracked::live.load(), 0);
   EXPECT_EQ(domain.pending_retired(), 0u);
 }
 
-// The pool's break glass: the pre-armed reserve slab is granted only at
-// Degraded or worse, bypasses slab_limit, and is consumed exactly once
-// until re-armed.
-TEST_F(HealthTest, EmergencyReserveGrantsOnlyUnderDegradation) {
-  lot::reclaim::SizePool pool(64, 8);
-  pool.set_slab_limit(1);
-  pool.set_fallback_enabled(false);
-  ASSERT_TRUE(pool.emergency_armed());
-  const auto before = lot::reclaim::PoolStats::snapshot();
-
-  std::vector<void*> slots;
-  for (std::size_t i = 0; i < pool.slots_per_slab(); ++i) {
-    slots.push_back(pool.allocate());
-  }
-  // Healthy + exhausted: the seed contract holds, reserve stays sealed.
-  EXPECT_THROW(pool.allocate(), std::bad_alloc);
-  EXPECT_TRUE(pool.emergency_armed());
-
-  lot::health::publish_state(State::kDegraded);
-  slots.push_back(pool.allocate());  // break glass
-  EXPECT_FALSE(pool.emergency_armed());
-  const auto after = lot::reclaim::PoolStats::snapshot();
-  EXPECT_EQ(after.emergency_grants, before.emergency_grants + 1);
-  EXPECT_EQ(pool.slab_count(), 2u);  // reserve ignores slab_limit=1
-
-  // The granted slab serves a full slab's worth; once consumed the pool is
-  // genuinely out even at Degraded.
-  for (std::size_t i = 1; i < pool.slots_per_slab(); ++i) {
-    slots.push_back(pool.allocate());
-  }
-  EXPECT_THROW(pool.allocate(), std::bad_alloc);
-
-  EXPECT_TRUE(pool.rearm_emergency_reserve());
-  EXPECT_TRUE(pool.emergency_armed());
-
-  lot::health::publish_state(State::kHealthy);
-  for (void* s : slots) pool.deallocate(s);
-}
-
-// Concurrent writer gates + governor ticks under TSan: the gate's TLS
+// Concurrent writer ticks + governor applies under TSan: the tick's TLS
 // fast path, the try-lock sample, and state publication must be race-free.
 TEST_F(HealthTest, ConcurrentGatesAndSamplesAreRaceFree) {
   lot::reclaim::EbrDomain domain;
   governor().set_min_interval_us(0);  // every stride tick really samples
   std::atomic<bool> stop{false};
   std::thread flipper([&] {
-    // Exercise both directions while gates run.
+    // Exercise both directions while writers tick.
     for (int i = 0; i < 200; ++i) {
       Signals s;
       s.heat_delta = i % 2 ? 5000 : 0;
@@ -321,7 +285,7 @@ TEST_F(HealthTest, ConcurrentGatesAndSamplesAreRaceFree) {
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&] {
       while (!stop.load()) {
-        lot::health::writer_gate(domain);
+        lot::health::maybe_sample_tick(domain);
         auto g = domain.guard();
       }
     });

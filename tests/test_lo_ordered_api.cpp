@@ -738,6 +738,39 @@ TEST(ShardedSnapshotTest, ComposesOneCutAcrossShards) {
   }
 }
 
+// A short sharded snapshot scan must cost its own span, not every
+// shard's whole tail past lo: each shard's cursor is bounded by hi. The
+// comparator counts its calls, so the test measures work, not time.
+thread_local std::uint64_t tl_compares = 0;
+struct CountingLess {
+  bool operator()(K a, K b) const {
+    ++tl_compares;
+    return a < b;
+  }
+};
+
+TEST(ShardedSnapshotTest, RangeTouchesOnlyTheRequestedSpan) {
+  using Sharded =
+      lot::shard::ShardedMap<PartialAvlMap<K, V, CountingLess>, 4>;
+  constexpr K kKeys = K{1} << 14;
+  constexpr K kLo = 1000;
+  constexpr K kHi = kLo + 64;
+  Sharded m;
+  for (K k = 0; k < kKeys; ++k) ASSERT_TRUE(m.insert(k, 2 * k));
+
+  const auto snap = m.snapshot();
+  tl_compares = 0;
+  std::vector<std::pair<K, V>> got;
+  snap.range(kLo, kHi, [&](K k, V v) { got.emplace_back(k, v); });
+  const std::uint64_t compares = tl_compares;
+
+  std::vector<std::pair<K, V>> expect;
+  for (K k = kLo; k < kHi; ++k) expect.emplace_back(k, 2 * k);
+  EXPECT_EQ(got, expect);
+  EXPECT_LT(compares, static_cast<std::uint64_t>(kKeys) / 8)
+      << "the scan walked far past hi";
+}
+
 #endif  // LOT_DISABLE_MVCC
 
 }  // namespace

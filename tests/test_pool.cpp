@@ -221,6 +221,25 @@ TEST(Pool, ExitedThreadCacheIsAdopted) {
             adopted_before + 1);
 }
 
+// A thread that outlives many pools must reuse the per-thread table
+// entries of dead pools instead of evicting a live pool's entry: the cache
+// it holds in a long-lived pool stays its own, so coming back adopts
+// nothing.
+TEST(Pool, ThreadOutlivingManyPoolsReusesSlots) {
+  SizePool home(64, 64);
+  home.deallocate(home.allocate());
+  const auto adopted_before =
+      PoolStats::caches_adopted().load(std::memory_order_relaxed);
+  for (int i = 0; i < 20; ++i) {
+    SizePool passing(64, 64);
+    passing.deallocate(passing.allocate());
+  }
+  home.deallocate(home.allocate());
+  EXPECT_EQ(PoolStats::caches_adopted().load(std::memory_order_relaxed),
+            adopted_before);
+  EXPECT_EQ(home.slab_count(), 1u);
+}
+
 struct GraceObj {
   std::uint64_t payload[6] = {};
 };

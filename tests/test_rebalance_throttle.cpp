@@ -27,8 +27,8 @@ using lot::lo::AvlMap;
 namespace detail = lot::lo::detail;
 
 // gtest runs every test on the same thread, so the TLS heat, the throttle
-// knob and the governor (whose reset() re-enables its policies) must be
-// restored no matter how a test exits.
+// knob and the governor's contention odometer must be restored no matter
+// how a test exits.
 struct ThrottleStateGuard {
   ThrottleStateGuard() { restore(); }
   ~ThrottleStateGuard() { restore(); }
@@ -131,14 +131,12 @@ TEST(RebalanceThrottle, HeatCoolsWithProgress) {
   EXPECT_TRUE(rep.ok) << rep.to_string();
 }
 
-// Both switches off under real contention: neither the TLS heat nor the
-// governor's shedding may defer a single rotation, so the deferral counter
-// stays flat. Whatever imbalance concurrent climbs leave behind, one
+// The switch off under real contention: the TLS heat may not defer a
+// single rotation, so the deferral counter stays flat. Whatever imbalance concurrent climbs leave behind, one
 // quiescent repair pass restores the strict bound.
 TEST(RebalanceThrottle, RuntimeKnobOffNeverDefersUnderContention) {
   ThrottleStateGuard guard;
   detail::set_rebalance_throttle(false);
-  lot::health::set_policies_enabled(false);
   AvlMap<K, V> m;
   const auto obs0 = lot::obs::Registry::instance().snapshot();
   // Contention events are sparse (a handful per round), so churn until
