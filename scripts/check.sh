@@ -56,7 +56,12 @@
 #      prove the MVCC types collapse to empty and snapshot() vanishes
 #      from the map surface) plus the weak-scan stress arm — the scan
 #      campaign rerun against unversioned trees, holding the degraded
-#      scans to exactly the per-key §11 contract.
+#      scans to exactly the per-key §11 contract;
+#  11. the huge-page pool cell: a short perfbench run of the 2·10^6-key
+#      Table-1 cell (avl-70-20-10-2m), the only traffic that grows a pool
+#      past kHugeChunkAfterSlabs, so 1.3M keys live on 2 MiB huge-page
+#      chunks. perfbench's value checks, size reconciliation and final
+#      structural validation must all pass (`correct` true, 0 failed).
 #
 # A non-linearizable history makes the stress tests dump the complete
 # trace + violation witness to $LOT_HISTORY_DUMP; this script pins that
@@ -80,17 +85,17 @@ fail() {
   exit 1
 }
 
-echo "== stage 1/10: tier-1 build + test =="
+echo "== stage 1/11: tier-1 build + test =="
 cmake -B build -S . >/dev/null || fail "configure"
 cmake --build build -j "$(nproc)" >/dev/null || fail "build"
 (cd build && ctest --output-on-failure -j "$(nproc)" -E "$STRESS_RE") \
   || fail "tier-1 ctest"
 
-echo "== stage 2/10: perturbed linearizability + fault-injection stress =="
+echo "== stage 2/11: perturbed linearizability + fault-injection stress =="
 (cd build && ctest --output-on-failure -R "$STRESS_RE") \
   || fail "stress + checker"
 
-echo "== stage 3/10: ThreadSanitizer preset =="
+echo "== stage 3/11: ThreadSanitizer preset =="
 cmake --preset tsan >/dev/null || fail "tsan configure"
 cmake --build --preset tsan -j "$(nproc)" >/dev/null || fail "tsan build"
 # The explicit -E overrides the preset's own exclude filter, so it must
@@ -101,17 +106,17 @@ ctest --preset tsan \
   -E "SeededBug|TornSnapshot|$SCAN_RE|LoStormStress|LoShardStress" \
   || fail "tsan ctest"
 
-echo "== stage 4/10: scan-enabled linearizability stress under TSan =="
+echo "== stage 4/11: scan-enabled linearizability stress under TSan =="
 # TornSnapshot rides along: the negative control's rejection must also
 # hold with every access instrumented and iteration counts scaled down.
 ctest --preset tsan -R "$SCAN_RE|TornSnapshot" || fail "tsan scan stress"
 
-echo "== stage 5/10: AddressSanitizer+LeakSanitizer preset =="
+echo "== stage 5/11: AddressSanitizer+LeakSanitizer preset =="
 cmake --preset asan >/dev/null || fail "asan configure"
 cmake --build --preset asan -j "$(nproc)" >/dev/null || fail "asan build"
 ctest --preset asan || fail "asan ctest"
 
-echo "== stage 6/10: LOT_POOL_ALLOC=OFF build + test =="
+echo "== stage 6/11: LOT_POOL_ALLOC=OFF build + test =="
 cmake -B build-nopool -S . -DLOT_POOL_ALLOC=OFF >/dev/null \
   || fail "nopool configure"
 cmake --build build-nopool -j "$(nproc)" >/dev/null || fail "nopool build"
@@ -119,17 +124,17 @@ cmake --build build-nopool -j "$(nproc)" >/dev/null || fail "nopool build"
   -E 'LoLinearizabilityStress|LoScanStress|LoResumeStress|SeededBug|DriverCapture') \
   || fail "nopool ctest (incl. fault campaign)"
 
-echo "== stage 7/10: LOT_OBS=OFF build + test =="
+echo "== stage 7/11: LOT_OBS=OFF build + test =="
 cmake -B build-noobs -S . -DLOT_OBS=OFF >/dev/null \
   || fail "noobs configure"
 cmake --build build-noobs -j "$(nproc)" >/dev/null || fail "noobs build"
 (cd build-noobs && ctest --output-on-failure -j "$(nproc)" -E "$STRESS_RE") \
   || fail "noobs ctest"
 
-echo "== stage 8/10: chaos storm campaign under TSan =="
+echo "== stage 8/11: chaos storm campaign under TSan =="
 ctest --preset tsan -R 'LoStormStress' || fail "tsan storm campaign"
 
-echo "== stage 9/10: sharded-layer gate (TSan campaign + degenerate equivalence) =="
+echo "== stage 9/11: sharded-layer gate (TSan campaign + degenerate equivalence) =="
 ctest --preset tsan -R 'LoShardStress' || fail "tsan sharded stress"
 # shards=1 must be indistinguishable from the bare tree on the same op
 # tape (default build; these also ran inside stage 1's tier-1 sweep — the
@@ -137,7 +142,7 @@ ctest --preset tsan -R 'LoShardStress' || fail "tsan sharded stress"
 (cd build && ctest --output-on-failure -R 'SingleShardEquivalence') \
   || fail "shards=1 degenerate equivalence"
 
-echo "== stage 10/10: LOT_MVCC=OFF build + test =="
+echo "== stage 10/11: LOT_MVCC=OFF build + test =="
 cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null \
   || fail "nomvcc configure"
 cmake --build build-nomvcc -j "$(nproc)" >/dev/null || fail "nomvcc build"
@@ -152,5 +157,19 @@ cmake --build build-nomvcc -j "$(nproc)" >/dev/null || fail "nomvcc build"
 # history checker holds them to exactly that).
 (cd build-nomvcc && ctest --output-on-failure -R 'LoScanStress') \
   || fail "nomvcc weak-scan stress"
+
+echo "== stage 11/11: huge-page pool cell (perfbench avl-70-20-10-2m) =="
+# No ctest tree grows a pool past 32 MiB; this is the gate for the
+# huge-chunk carve path under real 1.3M-key traffic.
+CARGO_TARGET_DIR="$PWD/build/perfbench-target" python3 perfbench/run.py \
+  --workload avl-70-20-10-2m --seed 1 --seconds 4 --trace 0 \
+  > build/perfbench-2m.out || fail "perfbench run"
+tail -n 1 build/perfbench-2m.out | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+print("perfbench: correct=%s failed=%d attempted=%d" %
+      (r["correct"], r["failed"], r["attempted"]))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+' || fail "perfbench correctness"
 
 echo "check.sh: all stages passed"

@@ -14,14 +14,17 @@
 // that an accidental unlocked read is at worst stale, never UB.
 //
 // Layout is cache-conscious (DESIGN.md §10): the node is cacheline-aligned
-// with the lock-free read path — key, tag, mark, pred, succ, value (plus
-// `deleted` in the logical-removing layout) — grouped on the first line,
-// and the write-side state — the tree layout fields, both spinlocks, the
-// heights (packed to int16_t; AVL heights fit trivially) — pushed onto the
-// second. A contains() that walks the ordering layout touches one line per
-// node instead of two, and writers bouncing tree_lock/succ_lock lines
-// never invalidate the line readers are traversing. Static asserts below
-// pin the contract.
+// with the logical ordering layout — key, tag, mark, succ_version, pred,
+// succ, value (plus `deleted` in the logical-removing layout) and the MVCC
+// stamps — grouped on the first line, and the tree layout — left, right,
+// parent, the heights (packed to int16_t; AVL heights fit trivially) and
+// both spinlocks — on the second. The ordering walk (the tail of every
+// lookup, and ordered iteration) touches one line per node, and writers
+// bouncing tree_lock/succ_lock never invalidate the line it traverses.
+// The descent (Algorithm 1's search) is not one line per node: at every
+// level it compares `key` on the first line and follows `left`/`right` on
+// the second. Moving the child links onto the first line was measured and
+// did not pay (DESIGN.md §10). Static asserts below pin the contract.
 //
 // Two layouts, one per removal policy (lo/core.hpp): `Node` for on-time
 // removal (plain immutable value, no deleted flag) and `PartialNode` for
@@ -55,7 +58,7 @@ template <typename K, typename V>
 struct alignas(sync::kCacheLineSize) Node {
   using Self = Node<K, V>;
 
-  // ---- hot line: everything the lock-free read path dereferences ----
+  // ---- hot line: key + the logical ordering layout ----
   const K key;
   const Tag tag;
 
@@ -71,7 +74,7 @@ struct alignas(sync::kCacheLineSize) Node {
   /// line because the capture rides the same ordering walk as readers.
   std::atomic<std::uint32_t> succ_version{0};
 
-  // ---- logical ordering layout (succ_lock, on the cold line) ----
+  // ---- logical ordering layout (written under succ_lock) ----
   std::atomic<Self*> pred{nullptr};
   std::atomic<Self*> succ{nullptr};
 
@@ -90,7 +93,8 @@ struct alignas(sync::kCacheLineSize) Node {
   std::atomic<std::uint64_t> vdeath{0};
 #endif
 
-  // ---- cold line: physical tree layout (tree_lock) + both locks ----
+  // ---- cold line: physical tree layout (tree_lock; the descent reads
+  // left/right) + both locks ----
   alignas(sync::kCacheLineSize) std::atomic<Self*> left{nullptr};
   std::atomic<Self*> right{nullptr};
   std::atomic<Self*> parent{nullptr};
@@ -126,7 +130,7 @@ template <typename K, typename V>
 struct alignas(sync::kCacheLineSize) PartialNode {
   using Self = PartialNode<K, V>;
 
-  // ---- hot line: everything the lock-free read path dereferences ----
+  // ---- hot line: key + the logical ordering layout ----
   const K key;
   const Tag tag;
 
@@ -157,7 +161,8 @@ struct alignas(sync::kCacheLineSize) PartialNode {
   std::atomic<mvcc::PastVersion<V>*> vhead{nullptr};
 #endif
 
-  // ---- cold line: physical tree layout (tree_lock) + both locks ----
+  // ---- cold line: physical tree layout (tree_lock; the descent reads
+  // left/right) + both locks ----
   alignas(sync::kCacheLineSize) std::atomic<Self*> left{nullptr};
   std::atomic<Self*> right{nullptr};
   std::atomic<Self*> parent{nullptr};
@@ -209,7 +214,7 @@ static_assert(offsetof(ProbeNode, key) < sync::kCacheLineSize &&
                       sync::kCacheLineSize &&
                   offsetof(ProbeNode, value) + sizeof(std::int64_t) <=
                       sync::kCacheLineSize,
-              "lock-free read path must fit in the first cache line");
+              "the ordering walk must fit in the first cache line");
 #if !defined(LOT_DISABLE_MVCC)
 static_assert(offsetof(ProbeNode, vdeath) + sizeof(std::uint64_t) <=
                   sync::kCacheLineSize,
@@ -240,7 +245,7 @@ static_assert(offsetof(ProbePartialNode, key) < sync::kCacheLineSize &&
                       sync::kCacheLineSize &&
                   offsetof(ProbePartialNode, value) + sizeof(std::int64_t) <=
                       sync::kCacheLineSize,
-              "lock-free read path must fit in the first cache line");
+              "the ordering walk must fit in the first cache line");
 #if !defined(LOT_DISABLE_MVCC)
 static_assert(offsetof(ProbePartialNode, vdeath) + sizeof(std::uint64_t) <=
                   sync::kCacheLineSize &&

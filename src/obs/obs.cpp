@@ -117,10 +117,11 @@ std::string Snapshot::to_text() const {
                " contention_events=%" PRIu64 "\n",
           health::state_name(health.state), health.transitions, health.ticks,
           health.contention_events);
-  appendf(out, "  pool: slabs=%" PRIu64 " allocs=%" PRIu64 " frees=%" PRIu64
+  appendf(out, "  pool: slabs=%" PRIu64 " huge_chunks=%" PRIu64
+               " allocs=%" PRIu64 " frees=%" PRIu64
                " remote_frees=%" PRIu64 " harvests=%" PRIu64 "\n",
-          ebr.pool.slabs, ebr.pool.allocs, ebr.pool.frees,
-          ebr.pool.remote_frees, ebr.pool.harvests);
+          ebr.pool.slabs, ebr.pool.huge_chunks, ebr.pool.allocs,
+          ebr.pool.frees, ebr.pool.remote_frees, ebr.pool.harvests);
   appendf(out, "  pool: fallback=%" PRIu64 "/%" PRIu64 " caches=%" PRIu64
                "+%" PRIu64 " adopted; live_nodes=%" PRIu64 "\n",
           ebr.pool.fallback_allocs, ebr.pool.fallback_frees,
@@ -173,15 +174,17 @@ std::string Snapshot::to_json() const {
           health::state_name(health.state),
           static_cast<unsigned>(health.state), health.transitions,
           health.ticks, health.contention_events);
-  appendf(out, "\"pool_slabs\": %" PRIu64 ", \"pool_allocs\": %" PRIu64
+  appendf(out, "\"pool_slabs\": %" PRIu64 ", \"pool_huge_chunks\": %" PRIu64
+               ", \"pool_allocs\": %" PRIu64
                ", \"pool_frees\": %" PRIu64 ", \"pool_remote_frees\": %" PRIu64
                ", \"pool_harvests\": %" PRIu64 ", \"pool_fallback_allocs\": %" PRIu64
                ", \"pool_fallback_frees\": %" PRIu64
                ", \"pool_caches_created\": %" PRIu64
                ", \"pool_caches_adopted\": %" PRIu64
                ", \"live_nodes\": %" PRIu64 "},\n",
-          ebr.pool.slabs, ebr.pool.allocs, ebr.pool.frees,
-          ebr.pool.remote_frees, ebr.pool.harvests, ebr.pool.fallback_allocs,
+          ebr.pool.slabs, ebr.pool.huge_chunks, ebr.pool.allocs,
+          ebr.pool.frees, ebr.pool.remote_frees, ebr.pool.harvests,
+          ebr.pool.fallback_allocs,
           ebr.pool.fallback_frees, ebr.pool.caches_created,
           ebr.pool.caches_adopted, live_nodes);
   appendf(out, "  \"domains_total_pending_retired\": %zu,\n"

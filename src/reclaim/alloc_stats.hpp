@@ -34,7 +34,8 @@ struct AllocStats {
 /// integers so it can be embedded in other snapshot structs
 /// (EbrDomain::Stats) and compared across checkpoints in tests.
 struct PoolSnapshot {
-  std::uint64_t slabs = 0;            // slab chunks carved from the OS
+  std::uint64_t slabs = 0;            // 64 KiB slabs carved from chunks
+  std::uint64_t huge_chunks = 0;      // 2 MiB chunks whose MADV_HUGEPAGE took
   std::uint64_t allocs = 0;           // slots handed out (excludes fallback)
   std::uint64_t frees = 0;            // slots returned (excludes fallback)
   std::uint64_t remote_frees = 0;     // frees routed via a remote-free stack
@@ -63,6 +64,7 @@ struct PoolStats {
     return v;                                        \
   }
   LOT_POOL_COUNTER(slabs)
+  LOT_POOL_COUNTER(huge_chunks)
   LOT_POOL_COUNTER(allocs)
   LOT_POOL_COUNTER(frees)
   LOT_POOL_COUNTER(remote_frees)
@@ -76,6 +78,7 @@ struct PoolStats {
   static PoolSnapshot snapshot() {
     PoolSnapshot s;
     s.slabs = slabs().load(std::memory_order_relaxed);
+    s.huge_chunks = huge_chunks().load(std::memory_order_relaxed);
     s.allocs = allocs().load(std::memory_order_relaxed);
     s.frees = frees().load(std::memory_order_relaxed);
     s.remote_frees = remote_frees().load(std::memory_order_relaxed);

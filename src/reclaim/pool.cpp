@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstring>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #if defined(__SANITIZE_ADDRESS__)
 #define LOT_POOL_ASAN 1
@@ -81,9 +87,33 @@ bool try_free_fallback_global(void* p) {
   return true;
 }
 
+// Advises a kChunkBytes chunk to be backed by one transparent huge page.
+// True only if the advice was given and accepted. The kernel accepts
+// MADV_HUGEPAGE even when THP is set to `never`, so the system policy is
+// read once and a `never` host advises nothing; the huge_chunks counter
+// then reads 0, which is what explains a missing speed-up.
+bool advise_huge_pages(void* p, std::size_t bytes) {
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  static const bool thp_allowed = [] {
+    std::FILE* f =
+        std::fopen("/sys/kernel/mm/transparent_hugepage/enabled", "r");
+    if (f == nullptr) return true;  // policy unknown: let madvise decide
+    char buf[64] = {};
+    (void)std::fread(buf, 1, sizeof(buf) - 1, f);
+    std::fclose(f);
+    return std::strstr(buf, "[never]") == nullptr;
+  }();
+  return thp_allowed && ::madvise(p, bytes, MADV_HUGEPAGE) == 0;
+#else
+  (void)p;
+  (void)bytes;
+  return false;
+#endif
+}
+
 }  // namespace
 
-/// Slab header, placed at the start of each kSlabBytes-aligned chunk so
+/// Slab header, placed at the start of each kSlabBytes-aligned slab so
 /// `reinterpret_cast<Slab*>(uintptr(p) & ~(kSlabBytes - 1))` recovers it
 /// from any slot pointer. The remote-free stack head sits on its own cache
 /// line: it is the only word of the header written after construction, and
@@ -204,14 +234,15 @@ SizePool::~SizePool() {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   for (Cache* c : caches_) delete c;
-  for (void* s : slabs_) {
+  static_assert(std::is_trivially_destructible_v<Slab>,
+                "chunks are freed without visiting their slabs");
+  for (const Chunk& ch : chunks_) {
 #if defined(LOT_POOL_ASAN)
     // Hand the chunk back unpoisoned: the underlying allocator (and any
     // future reuse of the address range) must see it addressable.
-    ASAN_UNPOISON_MEMORY_REGION(s, kSlabBytes);
+    ASAN_UNPOISON_MEMORY_REGION(ch.base, ch.bytes);
 #endif
-    static_cast<Slab*>(s)->~Slab();
-    ::operator delete(s, std::align_val_t{kSlabBytes});
+    ::operator delete(ch.base, std::align_val_t{ch.bytes});
   }
 }
 
@@ -366,15 +397,9 @@ SizePool::Slab* SizePool::try_new_slab(Cache& c) {
   if (limit != 0 && slab_count_.load(std::memory_order_relaxed) >= limit) {
     return nullptr;
   }
-  void* mem = ::operator new(kSlabBytes, std::align_val_t{kSlabBytes},
-                             std::nothrow);
-  if (mem == nullptr) return nullptr;
-  try {
-    slabs_.push_back(mem);
-  } catch (...) {
-    ::operator delete(mem, std::align_val_t{kSlabBytes});
-    return nullptr;
-  }
+  if (carve_ptr_ == carve_end_ && !new_chunk()) return nullptr;
+  void* mem = carve_ptr_;
+  carve_ptr_ += kSlabBytes;
   Slab* s = ::new (mem) Slab{this, &c, c.slabs};
   c.slabs = s;
   c.bump_ptr = static_cast<char*>(mem) + payload_offset_;
@@ -382,6 +407,29 @@ SizePool::Slab* SizePool::try_new_slab(Cache& c) {
   slab_count_.fetch_add(1, std::memory_order_relaxed);
   PoolStats::slabs().fetch_add(1, std::memory_order_relaxed);
   return s;
+}
+
+bool SizePool::new_chunk() {
+  // One slab per chunk until the pool holds kHugeChunkAfterSlabs slabs,
+  // then whole huge pages: the uncarved tail stays under 1/16 of the pool.
+  const std::size_t bytes =
+      slab_count_.load(std::memory_order_relaxed) >= kHugeChunkAfterSlabs
+          ? kChunkBytes
+          : kSlabBytes;
+  void* mem = ::operator new(bytes, std::align_val_t{bytes}, std::nothrow);
+  if (mem == nullptr) return false;
+  try {
+    chunks_.push_back(Chunk{mem, bytes});
+  } catch (...) {
+    ::operator delete(mem, std::align_val_t{bytes});
+    return false;
+  }
+  if (bytes == kChunkBytes && advise_huge_pages(mem, bytes)) {
+    PoolStats::huge_chunks().fetch_add(1, std::memory_order_relaxed);
+  }
+  carve_ptr_ = static_cast<char*>(mem);
+  carve_end_ = carve_ptr_ + bytes;
+  return true;
 }
 
 void* SizePool::fallback_allocate() {

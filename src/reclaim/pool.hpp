@@ -9,6 +9,10 @@
 //  * memory comes in 64 KiB slabs aligned to their own size, so any slot
 //    pointer finds its slab header with one mask (`p & ~(kSlabBytes-1)`),
 //    jemalloc/mimalloc style — no per-slot header, no lookup table;
+//  * slabs are carved from chunks: one slab per chunk while the pool is
+//    small, and 2 MiB-aligned 2 MiB chunks advised MADV_HUGEPAGE once it
+//    holds kHugeChunkAfterSlabs slabs, so a large tree's descent walks
+//    huge pages instead of missing the TLB at every level;
 //  * each slab is carved into cacheline-aligned fixed-size slots; a slab
 //    belongs to the per-thread cache that carved it;
 //  * allocation is a thread-local LIFO free-list pop (or a bump carve from
@@ -68,10 +72,25 @@ namespace lot::reclaim {
 /// Destruction requires quiescence (no outstanding slots, no concurrent
 /// calls) — like EbrDomain, a registry keeps thread-exit cleanup from
 /// touching a pool that died first.
-class SizePool {
+///
+/// Cacheline-aligned because every allocate and free, on every thread,
+/// reads the first line (uid_, slot size, poison flag): no hot-written
+/// heap neighbour may share it. Left unaligned when the carve pointers
+/// grew it, the pool cost the contended 2·10^4-key Table-1 cell, whose
+/// pools never reach the huge-chunk threshold, about 6% of its throughput.
+class alignas(sync::kCacheLineSize) SizePool {
  public:
   /// Slab size and alignment. Power of two so slot → slab is one mask.
   static constexpr std::size_t kSlabBytes = std::size_t{1} << 16;
+  /// Size and alignment of a huge-page chunk: one 2 MiB transparent huge
+  /// page, carved into kChunkBytes / kSlabBytes slabs.
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 21;
+  /// Slabs the pool must already hold before its chunks grow from one
+  /// slab to kChunkBytes: 16 huge chunks' worth, so a chunk's uncarved
+  /// tail never exceeds 1/16 of the pool and small pools allocate exactly
+  /// one slab at a time.
+  static constexpr std::size_t kHugeChunkAfterSlabs =
+      16 * (kChunkBytes / kSlabBytes);
 
   SizePool(std::size_t object_bytes, std::size_t object_align);
   ~SizePool();
@@ -114,6 +133,12 @@ class SizePool {
   std::size_t slab_count() const {
     return slab_count_.load(std::memory_order_relaxed);
   }
+  /// Allocations the slabs were carved from: one per slab below
+  /// kHugeChunkAfterSlabs, one per kChunkBytes above it.
+  std::size_t chunk_count() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return chunks_.size();
+  }
 
   static constexpr unsigned char kPoisonByte = 0xDB;
 
@@ -128,6 +153,7 @@ class SizePool {
 
   bool harvest_remote(Cache& c);   // splice remote stacks into the free list
   Slab* try_new_slab(Cache& c);    // nullptr if capped or OOM
+  bool new_chunk();                // mutex_ held; false on OOM
   void* fallback_allocate();       // operator-new path; may throw
   void free_slot(Slab* slab, void* p) noexcept;  // slab slot → home list
   void poison_slot(void* p) noexcept;
@@ -144,10 +170,17 @@ class SizePool {
   std::atomic<bool> poison_;
   std::atomic<std::size_t> slab_count_{0};
 
-  std::mutex mutex_;            // cache acquire/release, slab creation
+  struct Chunk {
+    void* base;
+    std::size_t bytes;  // kSlabBytes or kChunkBytes; also the alignment
+  };
+
+  mutable std::mutex mutex_;    // cache acquire/release, slab creation
   Cache* orphans_ = nullptr;    // caches of exited threads, adoptable
   std::vector<Cache*> caches_;  // every cache ever created (dtor cleanup)
-  std::vector<void*> slabs_;    // every slab chunk (dtor cleanup)
+  std::vector<Chunk> chunks_;   // every chunk slabs were carved from
+  char* carve_ptr_ = nullptr;   // uncarved tail of the newest chunk
+  char* carve_end_ = nullptr;
 
   // Fallback bookkeeping lives in a process-global registry (pool.cpp):
   // route_free cannot know the owning pool for an operator-new pointer (no

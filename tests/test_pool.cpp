@@ -1,5 +1,6 @@
 // Unit tests for the per-thread slab pool (reclaim/pool.hpp): slab growth
-// and reuse, the cross-thread remote-free path, deterministic exhaustion →
+// and reuse, huge-page chunks for large pools, the cross-thread
+// remote-free path, deterministic exhaustion →
 // bad_alloc, the operator-new fallback, freed-slot poisoning, thread-exit
 // cache orphaning/adoption, and — the property everything hinges on —
 // recycle-after-grace ordering through EbrDomain::retire_via: a retired
@@ -7,6 +8,7 @@
 // still dereference it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -148,6 +150,100 @@ TEST(Pool, ExhaustionThrowsBadAllocAndRecovers) {
   slots.push_back(pool.allocate());
   EXPECT_EQ(pool.slab_count(), 2u);
   for (void* q : slots) pool.deallocate(q);
+}
+
+// Past kHugeChunkAfterSlabs slabs the pool carves its slabs from 2 MiB
+// chunks aligned to their size, kChunkBytes / kSlabBytes slabs each;
+// below it every slab is an allocation of its own. Neither the slot →
+// slab mask, the remote-free path nor the slab limit may notice the
+// difference.
+TEST(Pool, LargePoolCarvesHugePageChunks) {
+  constexpr std::size_t kSlab = SizePool::kSlabBytes;
+  constexpr std::size_t kPerChunk = SizePool::kChunkBytes / kSlab;
+  constexpr std::size_t kSmall = SizePool::kHugeChunkAfterSlabs;
+  static_assert(kPerChunk == 32 && kSmall == 512);
+  // The limit falls in the middle of the third huge chunk.
+  const std::size_t limit = kSmall + 2 * kPerChunk + kPerChunk / 2;
+
+  SizePool pool(128, 64);
+  pool.set_slab_limit(limit);
+  pool.set_fallback_enabled(false);
+  const auto huge_before =
+      PoolStats::huge_chunks().load(std::memory_order_relaxed);
+
+  std::vector<void*> slots;
+  std::vector<std::uintptr_t> slab_base;  // in carve order
+  // Allocates until the limit bites, noting where each new slab starts.
+  auto fill = [&] {
+    for (;;) {
+      void* p = nullptr;
+      try {
+        p = pool.allocate();
+      } catch (const std::bad_alloc&) {
+        return;
+      }
+      if (pool.slab_count() > slab_base.size()) {
+        slab_base.push_back(reinterpret_cast<std::uintptr_t>(p) &
+                            ~(kSlab - 1));
+      }
+      slots.push_back(p);
+    }
+  };
+  fill();
+  ASSERT_EQ(slab_base.size(), limit);
+  EXPECT_EQ(pool.slab_count(), limit);
+  EXPECT_EQ(slots.size(), limit * pool.slots_per_slab());
+  EXPECT_THROW(pool.allocate(), std::bad_alloc);
+
+  // Slabs 1..512 are separate allocations; the rest share three chunks.
+  EXPECT_EQ(pool.chunk_count(), kSmall + 3);
+  EXPECT_EQ(std::set<std::uintptr_t>(slab_base.begin(),
+                                     slab_base.begin() + kSmall)
+                .size(),
+            kSmall);
+  for (std::size_t i = kSmall; i < limit; ++i) {
+    const std::size_t k = (i - kSmall) % kPerChunk;
+    const std::uintptr_t chunk = slab_base[i - k];
+    EXPECT_EQ(chunk % SizePool::kChunkBytes, 0u) << "slab " << i;
+    EXPECT_EQ(slab_base[i], chunk + k * kSlab) << "slab " << i;
+  }
+  // Counted only where the kernel took the advice: 0 on a THP=never host.
+  EXPECT_LE(PoolStats::huge_chunks().load(std::memory_order_relaxed),
+            huge_before + 3);
+
+  // Freeing one slot ends the exhaustion; raising the limit carves the
+  // next slab from the rest of the same chunk.
+  void* last = slots.back();
+  pool.deallocate(last);
+  EXPECT_EQ(pool.allocate(), last);
+  pool.set_slab_limit(limit + 1);
+  fill();
+  ASSERT_EQ(slab_base.size(), limit + 1);
+  EXPECT_EQ(slab_base[limit], slab_base[limit - 1] + kSlab);
+  EXPECT_EQ(pool.chunk_count(), kSmall + 3);
+  EXPECT_EQ(slots.size(), (limit + 1) * pool.slots_per_slab());
+
+  // Every slot goes home through the pool-blind free, half of them from a
+  // thread that never touched the pool: with the pool full and no room to
+  // grow, reallocating the lot must return exactly the same slots.
+  std::vector<void*> theirs;
+  for (std::size_t i = 1; i < slots.size(); i += 2) theirs.push_back(slots[i]);
+  std::thread other([&] {
+    for (void* p : theirs) SizePool::route_free(p);
+  });
+  for (std::size_t i = 0; i < slots.size(); i += 2) {
+    SizePool::route_free(slots[i]);
+  }
+  other.join();
+  std::vector<void*> again;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    again.push_back(pool.allocate());
+  }
+  EXPECT_THROW(pool.allocate(), std::bad_alloc);
+  std::sort(slots.begin(), slots.end());
+  std::sort(again.begin(), again.end());
+  EXPECT_EQ(again, slots);
+  for (void* p : again) pool.deallocate(p);
 }
 
 TEST(Pool, FallbackRoutesThroughOperatorNew) {
@@ -335,6 +431,8 @@ TEST(Pool, StatsFlowThroughEbrSnapshot) {
     const auto during = domain.stats().pool;
     EXPECT_GE(during.allocs, before.allocs + 128);
     EXPECT_GT(during.slabs, 0u);
+    // A 128-node map's pool stays far below kHugeChunkAfterSlabs.
+    EXPECT_EQ(during.huge_chunks, before.huge_chunks);
     EXPECT_GE(during.live_slots(), 128u);
   }
   domain.flush();
