@@ -1,18 +1,13 @@
 // Observability-overhead ablation (DESIGN.md §12, EXPERIMENTS.md A8): what
-// does the always-on telemetry cost?
+// does the latency-sampling knob add on top of the always-on counters?
 //
-// The A/B runs across two build trees — this binary compiled from the
-// default build (LOT_OBS=ON) and again from build-noobs/ (-DLOT_OBS=OFF) —
-// so every impl label carries the build's obs state ("/obs=on" vs
-// "/obs=off") and scripts/bench_snapshot.sh can merge both JSON row sets
-// into one BENCH_5.json. The acceptance number is the on-vs-off delta on
-// the 100%-read mix: counters alone must cost <= 3%.
+// Series:
+//   lo-avl            — counters only, no latency sampling
+//   lo-avl+sample64   — counters + 1-in-64 latency sampling, the --obs
+//                       bench configuration
 //
-// Series (ON builds only — sampling without the layer is meaningless):
-//   lo-avl/obs=on            — counters only, no latency sampling
-//   lo-avl/obs=on+sample64   — counters + 1-in-64 latency sampling, the
-//                              --obs bench configuration (quantifies what
-//                              the sampling knob itself adds)
+// The counters are always compiled in: compiling them out bought nothing
+// above noise (EXPERIMENTS.md A8).
 //
 // --report additionally dumps a full registry snapshot (text + JSON) after
 // the run — the scripts/obs_report.sh surface.
@@ -31,13 +26,6 @@ namespace {
 using K = std::int64_t;
 using Avl = lot::lo::AvlMap<K, K>;
 
-std::string label(const char* base, bool sampled) {
-  std::string s(base);
-  s += lot::obs::kEnabled ? "/obs=on" : "/obs=off";
-  if (sampled) s += "+sample64";
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,25 +35,17 @@ int main(int argc, char** argv) {
   if (!cli.has("ranges") && !cli.has("paper")) cfg.key_ranges = {20'000};
   lot::bench::JsonReport report;
 
-  std::printf("observability layer: %s\n",
-              lot::obs::kEnabled ? "compiled in (LOT_OBS=ON)"
-                                 : "compiled out (LOT_OBS=OFF)");
-
   for (const auto range : cfg.key_ranges) {
     for (const auto mix :
          {lot::workload::Mix::k100C, lot::workload::Mix::k50C25I25R}) {
       const auto spec = lot::workload::make_spec(mix, range);
       lot::bench::print_cell_header("Observability ablation", spec);
       std::vector<std::pair<std::string, lot::bench::Series>> series;
-      series.emplace_back(label("lo-avl", false),
-                          lot::bench::run_series<Avl>(spec, cfg));
-      if (lot::obs::kEnabled) {
-        auto sampled_cfg = cfg;
-        sampled_cfg.obs = true;  // turns on latency_sample_every
-        series.emplace_back(
-            label("lo-avl", true),
-            lot::bench::run_series<Avl>(spec, sampled_cfg));
-      }
+      series.emplace_back("lo-avl", lot::bench::run_series<Avl>(spec, cfg));
+      auto sampled_cfg = cfg;
+      sampled_cfg.obs = true;  // turns on latency_sample_every
+      series.emplace_back("lo-avl+sample64",
+                          lot::bench::run_series<Avl>(spec, sampled_cfg));
       lot::bench::print_series_table(cfg.threads, series);
       for (const auto& [name, cells] : series) {
         report.add("ablation_obs", spec, cfg, name, cells);

@@ -17,14 +17,12 @@
 // numbers are the resume arm's insert+erase restarts (>= 5x below the
 // rootrestart arm's on the 20k 50C-25I-25R cell) with throughput no worse.
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 
 #include "bench/common.hpp"
 #include "lo/avl.hpp"
 #include "lo/rebalance.hpp"
-#include "obs/obs.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -54,11 +52,6 @@ int main(int argc, char** argv) {
   // The counters are this experiment's subject, not an optional column.
   cfg.obs = true;
   lot::bench::JsonReport report;
-
-  if (!lot::obs::kEnabled) {
-    std::printf("warning: LOT_OBS=OFF build — the restart columns this "
-                "ablation exists for will be empty\n");
-  }
 
   const auto saved_limit = lot::lo::write_resume_limit();
 

@@ -88,12 +88,6 @@ int main(int argc, char** argv) {
   cfg.obs = true;
   lot::bench::JsonReport report;
 
-  if (!lot::obs::kEnabled) {
-    std::printf("warning: LOT_OBS=OFF build — the router stats and "
-                "per-shard odometers this ablation exists for will read "
-                "zero\n");
-  }
-
   for (const auto range : cfg.key_ranges) {
     const auto uniform =
         lot::workload::make_spec(lot::workload::Mix::k50C25I25R, range);

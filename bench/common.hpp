@@ -33,7 +33,7 @@ struct TableConfig {
   std::uint64_t seed = 42;
   // --obs: per-cell telemetry column — sampled latency quantiles, restart
   // counters and the contains_restarts audit ride along in the table and
-  // the JSON rows. Requires an LOT_OBS=ON build to produce numbers.
+  // the JSON rows.
   bool obs = false;
   unsigned obs_sample = 64;  // --obs-sample=N: time 1 op in N
 
@@ -62,9 +62,9 @@ struct TableConfig {
   }
 };
 
-/// Telemetry column of one cell (populated when the run passed --obs on an
-/// LOT_OBS=ON build; otherwise `enabled` stays false and neither the table
-/// nor the JSON emit it).
+/// Telemetry column of one cell (populated when the run passed --obs;
+/// otherwise `enabled` stays false and neither the table nor the JSON emit
+/// it).
 struct ObsCell {
   bool enabled = false;
   std::int64_t contains_restarts = 0;  // the derived audit over the cell
@@ -94,12 +94,11 @@ using Series = std::vector<Cell>;
 template <typename MapT>
 Series run_series(const workload::Spec& spec, const TableConfig& cfg) {
   Series out;
-  const bool obs_on = cfg.obs && obs::kEnabled;
   workload::Spec cell_spec = spec;
-  if (obs_on) cell_spec.latency_sample_every = cfg.obs_sample;
+  if (cfg.obs) cell_spec.latency_sample_every = cfg.obs_sample;
   for (const auto threads : cfg.threads) {
     Cell cell;
-    if (obs_on) obs::reset_latency_histograms();
+    if (cfg.obs) obs::reset_latency_histograms();
     const obs::Snapshot before = obs::Registry::instance().snapshot();
     for (int rep = 0; rep < cfg.repeats; ++rep) {
       MapT map;
@@ -109,7 +108,7 @@ Series run_series(const workload::Spec& spec, const TableConfig& cfg) {
           map, cell_spec, static_cast<unsigned>(threads), cfg.secs, seed + 1);
       cell.samples.push_back(r.mops_per_sec);
     }
-    if (obs_on) {
+    if (cfg.obs) {
       const obs::Snapshot after = obs::Registry::instance().snapshot();
       const auto d = [&](obs::Counter c) {
         return after.counter(c) - before.counter(c);

@@ -202,11 +202,8 @@ int main() {
   // a matching engine that degrades under its own benchmark has a
   // calibration bug) — and the derived contains_restarts audit, which
   // must read 0 because min()/max() and range() never re-descend.
-  // Compiled out (prints "enabled: false") under -DLOT_OBS=OFF.
-  if (lot::obs::kEnabled) {
-    std::printf("\n");
-    std::fputs(lot::obs::Registry::instance().snapshot().to_text().c_str(),
-               stdout);
-  }
+  std::printf("\n");
+  std::fputs(lot::obs::Registry::instance().snapshot().to_text().c_str(),
+             stdout);
   return 0;
 }

@@ -10,9 +10,10 @@
 #   BENCH_3.json — allocator/layout ablation (ablation_alloc)
 #   BENCH_4.json — range-scan ablation, tree vs skiplist over a
 #                  scan-length sweep (ablation_range)
-#   BENCH_5.json — observability overhead (ablation_obs), merged rows from
-#                  the default build (LOT_OBS=ON) and build-noobs/
-#                  (LOT_OBS=OFF); impl labels carry the build's obs state
+#   BENCH_5.json — observability overhead (ablation_obs): counters only
+#                  vs counters + 1-in-64 latency sampling; the committed
+#                  file is kept as a record and also holds the "/obs=off"
+#                  rows of the since-retired compiled-out build
 #   BENCH_6.json — restart ablation (ablation_restart): versioned-resume
 #                  write path vs pre-PR root restart vs resume without the
 #                  rotation throttle, uniform and Zipf(0.99) mixes, restart
@@ -65,35 +66,10 @@ merge_rows() {  # merge_rows a.json b.json out.json
   printf '  ]\n}\n' >> "$3"
 }
 
-if [ "$TARGET" = ablation_alloc ]; then
-  ./build/bench/ablation_alloc \
-    --threads="$THREADS" --ranges=20000 \
-    --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
-elif [ "$TARGET" = ablation_obs ]; then
-  # A/B across build trees: the same binary from an LOT_OBS=ON and an
-  # LOT_OBS=OFF build, rows merged into one file (labels disambiguate).
-  cmake -B build-noobs -S . -DLOT_OBS=OFF >/dev/null
-  cmake --build build-noobs -j "$(nproc)" --target ablation_obs >/dev/null
-  ./build/bench/ablation_obs \
-    --threads="$THREADS" --ranges=20000 \
-    --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.on.tmp"
-  ./build-noobs/bench/ablation_obs \
-    --threads="$THREADS" --ranges=20000 \
-    --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.off.tmp"
-  merge_rows "${OUT}.on.tmp" "${OUT}.off.tmp" "$OUT"
-  rm -f "${OUT}.on.tmp" "${OUT}.off.tmp"
-elif [ "$TARGET" = ablation_restart ]; then
-  ./build/bench/ablation_restart \
-    --threads="$THREADS" --ranges=20000 \
-    --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
-elif [ "$TARGET" = ablation_shard ]; then
-  ./build/bench/ablation_shard \
-    --threads="$THREADS" --ranges=20000 \
-    --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
-elif [ "$TARGET" = ablation_mvcc ]; then
-  # A/B across build trees (the ablation_obs pattern): the scan-mechanism
-  # sweep only exists in the ON build; the OFF build contributes the
-  # "/mvcc=off" point-op rows for the on-but-unused overhead delta.
+if [ "$TARGET" = ablation_mvcc ]; then
+  # A/B across build trees: the scan-mechanism sweep only exists in the ON
+  # build; the OFF build contributes the "/mvcc=off" point-op rows for the
+  # on-but-unused overhead delta.
   cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null
   cmake --build build-nomvcc -j "$(nproc)" --target ablation_mvcc >/dev/null
   ./build/bench/ablation_mvcc \
@@ -104,9 +80,13 @@ elif [ "$TARGET" = ablation_mvcc ]; then
     --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.off.tmp"
   merge_rows "${OUT}.on.tmp" "${OUT}.off.tmp" "$OUT"
   rm -f "${OUT}.on.tmp" "${OUT}.off.tmp"
-else
+elif [ "$TARGET" = ablation_range ]; then
   ./build/bench/ablation_range \
     --threads="$THREADS" --ranges=20000 --scanlens=16,64,256 \
+    --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
+else
+  "./build/bench/$TARGET" \
+    --threads="$THREADS" --ranges=20000 \
     --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
 fi
 

@@ -3,7 +3,8 @@
 #
 #   1. tier-1: default build + the full CTest suite minus the long
 #      stress binaries (unit, sequential, concurrent, checker unit tests,
-#      and the in-tree *_tsan duplicates);
+#      and the in-tree *_tsan duplicates), plus a smoke that
+#      scripts/obs_report.sh --json emits a parseable document;
 #   2. the schedule-perturbed linearizability stress: perturbed histories
 #      from the real trees through the offline checker — including the
 #      scan-enabled campaigns (range scans decomposed into per-key
@@ -16,7 +17,8 @@
 #      version bump AND the epoch-skipping snapshot resolution) that must
 #      be *rejected*, plus the LOT_FAULT_INJECT campaign (seeded
 #      allocation failures and guard stalls with per-phase structural
-#      validation and leak accounting);
+#      validation and leak accounting, over the slab pool and over plain
+#      new/delete);
 #   3. the whole-build ThreadSanitizer preset (build-tsan/, iteration
 #      counts scaled down by LOT_STRESS_DIVISOR=20), minus the scan
 #      stress which stage 4 gates explicitly;
@@ -28,14 +30,7 @@
 #   5. the whole-build AddressSanitizer+LeakSanitizer preset (build-asan/),
 #      so heap misuse and leaks gate alongside the race and
 #      linearizability checks;
-#   6. the LOT_POOL_ALLOC=OFF escape hatch (build-nopool/): the full
-#      non-stress suite plus the fault campaign recompiled against plain
-#      new/delete, so the pool never becomes load-bearing for correctness;
-#   7. the LOT_OBS=OFF build (build-noobs/): the non-stress suite with the
-#      observability layer compiled out — test_obs's static_asserts prove
-#      the hook handles are empty types, and the run proves the trees never
-#      grew a functional dependence on their own telemetry;
-#   8. the chaos storm campaign under TSan: the seeded fault-storm
+#   6. the chaos storm campaign under TSan: the seeded fault-storm
 #      envelope (ramp/hold/release allocation failures + guard-stall
 #      swarms + a pinned-epoch straggler) with the overload governor
 #      required to degrade and then, through its one policy (a sample at
@@ -46,18 +41,18 @@
 #      race benignly. Its policies-off arm (also run uninstrumented in
 #      stage 2) rides out the same weather without the flush, breaking
 #      the bound but never correctness;
-#   9. the sharded-layer gate: the ShardedMap linearizability campaign
+#   7. the sharded-layer gate: the ShardedMap linearizability campaign
 #      under TSan (router + k-way merge + per-shard EBR domains, every
 #      access instrumented) plus the shards=1 degenerate-equivalence
 #      tests from the default build — the scale-out layer must be both
 #      race-free at 4 shards and provably free at 1;
-#  10. the LOT_MVCC=OFF build (build-nomvcc/): the non-stress suite with
+#   8. the LOT_MVCC=OFF build (build-nomvcc/): the non-stress suite with
 #      the version layer compiled out (the ordered-api static_asserts
 #      prove the MVCC types collapse to empty and snapshot() vanishes
 #      from the map surface) plus the weak-scan stress arm — the scan
 #      campaign rerun against unversioned trees, holding the degraded
 #      scans to exactly the per-key §11 contract;
-#  11. the huge-page pool cell: a short perfbench run of the 2·10^6-key
+#   9. the huge-page pool cell: a short perfbench run of the 2·10^6-key
 #      Table-1 cell (avl-70-20-10-2m), the only traffic that grows a pool
 #      past kHugeChunkAfterSlabs, so 1.3M keys live on 2 MiB huge-page
 #      chunks. perfbench's value checks, size reconciliation and final
@@ -85,56 +80,44 @@ fail() {
   exit 1
 }
 
-echo "== stage 1/11: tier-1 build + test =="
+echo "== stage 1/9: tier-1 build + test =="
 cmake -B build -S . >/dev/null || fail "configure"
 cmake --build build -j "$(nproc)" >/dev/null || fail "build"
 (cd build && ctest --output-on-failure -j "$(nproc)" -E "$STRESS_RE") \
   || fail "tier-1 ctest"
+scripts/obs_report.sh --json \
+  | python3 -c 'import json, sys; json.load(sys.stdin)' \
+  || fail "obs_report.sh --json is not valid JSON"
 
-echo "== stage 2/11: perturbed linearizability + fault-injection stress =="
+echo "== stage 2/9: perturbed linearizability + fault-injection stress =="
 (cd build && ctest --output-on-failure -R "$STRESS_RE") \
   || fail "stress + checker"
 
-echo "== stage 3/11: ThreadSanitizer preset =="
+echo "== stage 3/9: ThreadSanitizer preset =="
 cmake --preset tsan >/dev/null || fail "tsan configure"
 cmake --build --preset tsan -j "$(nproc)" >/dev/null || fail "tsan build"
 # The explicit -E overrides the preset's own exclude filter, so it must
 # re-state the SeededBug exclusion (a result-level negative control)
 # alongside the scan, torn-snapshot, storm and shard stress deferrals
-# (stages 4, 8 and 9 gate those explicitly).
+# (stages 4, 6 and 7 gate those explicitly).
 ctest --preset tsan \
   -E "SeededBug|TornSnapshot|$SCAN_RE|LoStormStress|LoShardStress" \
   || fail "tsan ctest"
 
-echo "== stage 4/11: scan-enabled linearizability stress under TSan =="
+echo "== stage 4/9: scan-enabled linearizability stress under TSan =="
 # TornSnapshot rides along: the negative control's rejection must also
 # hold with every access instrumented and iteration counts scaled down.
 ctest --preset tsan -R "$SCAN_RE|TornSnapshot" || fail "tsan scan stress"
 
-echo "== stage 5/11: AddressSanitizer+LeakSanitizer preset =="
+echo "== stage 5/9: AddressSanitizer+LeakSanitizer preset =="
 cmake --preset asan >/dev/null || fail "asan configure"
 cmake --build --preset asan -j "$(nproc)" >/dev/null || fail "asan build"
 ctest --preset asan || fail "asan ctest"
 
-echo "== stage 6/11: LOT_POOL_ALLOC=OFF build + test =="
-cmake -B build-nopool -S . -DLOT_POOL_ALLOC=OFF >/dev/null \
-  || fail "nopool configure"
-cmake --build build-nopool -j "$(nproc)" >/dev/null || fail "nopool build"
-(cd build-nopool && ctest --output-on-failure -j "$(nproc)" \
-  -E 'LoLinearizabilityStress|LoScanStress|LoResumeStress|SeededBug|DriverCapture') \
-  || fail "nopool ctest (incl. fault campaign)"
-
-echo "== stage 7/11: LOT_OBS=OFF build + test =="
-cmake -B build-noobs -S . -DLOT_OBS=OFF >/dev/null \
-  || fail "noobs configure"
-cmake --build build-noobs -j "$(nproc)" >/dev/null || fail "noobs build"
-(cd build-noobs && ctest --output-on-failure -j "$(nproc)" -E "$STRESS_RE") \
-  || fail "noobs ctest"
-
-echo "== stage 8/11: chaos storm campaign under TSan =="
+echo "== stage 6/9: chaos storm campaign under TSan =="
 ctest --preset tsan -R 'LoStormStress' || fail "tsan storm campaign"
 
-echo "== stage 9/11: sharded-layer gate (TSan campaign + degenerate equivalence) =="
+echo "== stage 7/9: sharded-layer gate (TSan campaign + degenerate equivalence) =="
 ctest --preset tsan -R 'LoShardStress' || fail "tsan sharded stress"
 # shards=1 must be indistinguishable from the bare tree on the same op
 # tape (default build; these also ran inside stage 1's tier-1 sweep — the
@@ -142,7 +125,7 @@ ctest --preset tsan -R 'LoShardStress' || fail "tsan sharded stress"
 (cd build && ctest --output-on-failure -R 'SingleShardEquivalence') \
   || fail "shards=1 degenerate equivalence"
 
-echo "== stage 10/11: LOT_MVCC=OFF build + test =="
+echo "== stage 8/9: LOT_MVCC=OFF build + test =="
 cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null \
   || fail "nomvcc configure"
 cmake --build build-nomvcc -j "$(nproc)" >/dev/null || fail "nomvcc build"
@@ -158,7 +141,7 @@ cmake --build build-nomvcc -j "$(nproc)" >/dev/null || fail "nomvcc build"
 (cd build-nomvcc && ctest --output-on-failure -R 'LoScanStress') \
   || fail "nomvcc weak-scan stress"
 
-echo "== stage 11/11: huge-page pool cell (perfbench avl-70-20-10-2m) =="
+echo "== stage 9/9: huge-page pool cell (perfbench avl-70-20-10-2m) =="
 # No ctest tree grows a pool past 32 MiB; this is the gate for the
 # huge-chunk carve path under real 1.3M-key traffic.
 CARGO_TARGET_DIR="$PWD/build/perfbench-target" python3 perfbench/run.py \

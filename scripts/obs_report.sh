@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Quick observability console: runs a short mixed-workload burst through
-# the AVL tree (ablation_obs from the default LOT_OBS=ON build) and prints
+# the AVL tree (ablation_obs from the default build) and prints
 # the full registry snapshot — every counter, the derived contains_restarts
 # audit, the sampled latency quantiles per op kind, and the EBR/pool
 # gauges. The fastest way to eyeball that the telemetry layer is alive and

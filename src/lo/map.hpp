@@ -24,8 +24,8 @@
 namespace lot::lo {
 
 // `Alloc` is the node allocation policy (reclaim/pool.hpp): the slab pool
-// by default, plain counted new/delete under LOT_POOL_ALLOC=OFF or when a
-// benchmark asks for the A/B explicitly. `NodeTmpl` exists for the layout
+// by default, plain counted new/delete (reclaim::NewNodeAlloc) when a
+// caller names it explicitly. `NodeTmpl` exists for the layout
 // ablation only — it lets bench/ablation_alloc.cpp instantiate the exact
 // same algorithm over a deliberately packed (pre-PR) node layout.
 template <typename K, typename V, typename Compare = std::less<K>,

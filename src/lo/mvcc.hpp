@@ -275,7 +275,7 @@ inline constexpr bool kEnabled = false;
 
 // Empty inline stand-ins: the hooks in lo/core.hpp compile to nothing and
 // snapshot() disappears. tests/test_lo_ordered_api.cpp static_asserts
-// these stay empty, like the LOT_OBS off-gate.
+// these stay empty.
 
 class EpochSource {
  public:

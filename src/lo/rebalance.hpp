@@ -94,9 +94,9 @@ inline reclaim::EbrDomain& heat_scope_domain() {
 // rotated, can shrink its subtree by two levels at a time — which is why
 // repair_balance re-derives heights bottom-up instead of trusting the
 // caches. The state is thread-local and owned by this layer, NOT by
-// obs/ (LOT_OBS=OFF builds throttle identically); obs merely observes
-// deferral events via kRotationsDeferred. set_rebalance_throttle(false)
-// restores the unconditional rotation discipline at runtime.
+// obs/: obs merely observes deferral events via kRotationsDeferred.
+// set_rebalance_throttle(false) restores the unconditional rotation
+// discipline at runtime.
 
 inline constexpr std::uint32_t kHeatPerEvent = 64;
 inline constexpr std::uint32_t kHeatHotThreshold = 128;

@@ -16,9 +16,6 @@
 //    The release/acquire handshake on `in_use` publishes the dying
 //    thread's final relaxed stores to the adopter ("thread-exit counter
 //    adoption", tested in tests/test_obs.cpp).
-//  * Compile-time gate: building with LOT_DISABLE_OBS (CMake -DLOT_OBS=OFF)
-//    replaces every hook with an empty inline on an empty handle type, so
-//    the instrumented call sites in lo/core.hpp compile to nothing.
 //
 // Counter semantics and the claims they audit are catalogued in
 // DESIGN.md §12; the key derived invariant is contains_restarts == 0
@@ -123,10 +120,6 @@ constexpr const char* counter_name(Counter c) {
   }
   return "?";
 }
-
-#if !defined(LOT_DISABLE_OBS)
-
-inline constexpr bool kEnabled = true;
 
 /// One thread's counter block, alone on its cache lines. Single-writer
 /// (the owner); see the header comment for why the adds are load+store,
@@ -256,23 +249,5 @@ inline void reset_counters() {
     for (auto& c : s->v) c.store(0, std::memory_order_relaxed);
   }
 }
-
-#else  // LOT_DISABLE_OBS
-
-inline constexpr bool kEnabled = false;
-
-/// Empty handle: every hook compiles to nothing (tests/test_obs.cpp
-/// static_asserts this stays an empty type).
-struct Tls {
-  void add(Counter, std::uint64_t = 1) const {}
-};
-
-inline Tls tls() { return Tls{}; }
-inline void count(Counter, std::uint64_t = 1) {}
-inline std::uint64_t counter_total(Counter) { return 0; }
-inline std::size_t counter_shards() { return 0; }
-inline void reset_counters() {}
-
-#endif  // LOT_DISABLE_OBS
 
 }  // namespace lot::obs

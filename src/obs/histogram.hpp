@@ -45,9 +45,7 @@ constexpr const char* op_kind_name(OpKind k) {
   return "?";
 }
 
-/// Per-op-kind summary embedded in obs::Snapshot. Defined outside the
-/// LOT_DISABLE_OBS gate: snapshots exist (zeroed) even in OFF builds so
-/// reporting code needs no #ifdefs.
+/// Per-op-kind summary embedded in obs::Snapshot.
 struct HistogramStats {
   std::uint64_t count = 0;
   std::uint64_t max_ns = 0;   // exact (tracked separately from buckets)
@@ -56,8 +54,6 @@ struct HistogramStats {
   double p90_ns = 0;
   double p99_ns = 0;
 };
-
-#if !defined(LOT_DISABLE_OBS)
 
 /// One latency distribution over uint64 nanoseconds.
 class LatencyHistogram {
@@ -205,17 +201,5 @@ class ScopedLatency {
   bool active_;
   std::chrono::steady_clock::time_point start_;
 };
-
-#else  // LOT_DISABLE_OBS
-
-inline void record_latency(OpKind, std::uint64_t) {}
-inline void reset_latency_histograms() {}
-
-/// Empty handle (tests/test_obs.cpp static_asserts it stays empty).
-struct ScopedLatency {
-  ScopedLatency(OpKind, bool) {}
-};
-
-#endif  // LOT_DISABLE_OBS
 
 }  // namespace lot::obs

@@ -9,13 +9,19 @@ namespace lot::obs {
 
 namespace {
 
-// Bounded-append helpers: the report is a few KiB of controlled
-// identifiers and integers, so snprintf into a std::string is plenty.
+// Formatted append: the report is a few KiB of controlled identifiers
+// and integers, so snprintf straight into the std::string is plenty. The
+// first call sizes the line, which for the JSON gauges runs to several
+// hundred bytes.
 template <typename... Args>
 void appendf(std::string& out, const char* fmt, Args... args) {
-  char buf[256];
-  const int n = std::snprintf(buf, sizeof(buf), fmt, args...);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+  const int n = std::snprintf(nullptr, 0, fmt, args...);
+  if (n <= 0) return;
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(n) + 1);
+  std::snprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt,
+                args...);
+  out.resize(at + static_cast<std::size_t>(n));
 }
 
 }  // namespace
@@ -30,11 +36,9 @@ Snapshot Registry::snapshot(const reclaim::EbrDomain* domain) const {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     s.counters[i] = counter_total(static_cast<Counter>(i));
   }
-#if !defined(LOT_DISABLE_OBS)
   for (std::size_t i = 0; i < kOpKindCount; ++i) {
     s.latency[i] = latency_histogram(static_cast<OpKind>(i)).stats();
   }
-#endif
   const reclaim::EbrDomain& d =
       domain != nullptr ? *domain : reclaim::EbrDomain::global_domain();
   s.ebr = d.stats();
@@ -132,7 +136,6 @@ std::string Snapshot::to_text() const {
 std::string Snapshot::to_json() const {
   std::string out;
   out += "{\n  \"schema\": \"lot-obs-v1\",\n";
-  appendf(out, "  \"enabled\": %s,\n", kEnabled ? "true" : "false");
   out += "  \"counters\": {";
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     appendf(out, "%s\"%s\": %" PRIu64, i == 0 ? "" : ", ",

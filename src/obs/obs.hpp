@@ -10,10 +10,6 @@
 // lower bound per counter and exact at quiescence. The derived
 // contains_restarts() audit (DESIGN.md §12) should therefore be read at
 // quiescence — the stress harness snapshots at its phase barriers.
-//
-// Building with LOT_DISABLE_OBS keeps this entire API compilable —
-// Snapshot comes back with zeroed counters/latency and live EBR/pool
-// gauges — only the hot-path hooks vanish.
 #pragma once
 
 #include <algorithm>

@@ -202,8 +202,8 @@ SizePool& pool_for() {
 }
 
 /// Allocation policy threaded through LoMap/PartialMap: plain counted
-/// new/delete — the pre-pool behaviour, kept for A/B runs
-/// (LOT_POOL_ALLOC=OFF and the allocator ablation).
+/// new/delete — the pre-pool behaviour, kept for the allocator ablation
+/// and for any caller that names it as `Alloc`.
 struct NewNodeAlloc {
   static constexpr std::string_view name() { return "new"; }
 
@@ -265,13 +265,7 @@ struct PoolNodeAlloc {
   SizePool* pool_ = nullptr;
 };
 
-/// What LoMap/PartialMap default to. LOT_POOL_ALLOC=OFF (CMake) defines
-/// LOT_DISABLE_POOL_ALLOC and restores plain new/delete everywhere, the
-/// A/B escape hatch for benchmarks and sanitizer bisection.
-#if defined(LOT_DISABLE_POOL_ALLOC)
-using DefaultNodeAlloc = NewNodeAlloc;
-#else
+/// What LoMap/PartialMap default to.
 using DefaultNodeAlloc = PoolNodeAlloc;
-#endif
 
 }  // namespace lot::reclaim

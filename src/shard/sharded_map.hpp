@@ -111,25 +111,25 @@ class ShardedMap {
 
   bool insert(const K& k, const V& v) {
     ShardSlot& s = slot_for(k);
-    note_point(s);
+    s.stats.note_point();
     return s.map.insert(k, v);
   }
 
   bool erase(const K& k) {
     ShardSlot& s = slot_for(k);
-    note_point(s);
+    s.stats.note_point();
     return s.map.erase(k);
   }
 
   bool contains(const K& k) const {
     ShardSlot& s = slot_for(k);
-    note_point(s);
+    s.stats.note_point();
     return s.map.contains(k);
   }
 
   std::optional<V> get(const K& k) const {
     ShardSlot& s = slot_for(k);
-    note_point(s);
+    s.stats.note_point();
     return s.map.get(k);
   }
 
@@ -138,7 +138,7 @@ class ShardedMap {
   std::optional<std::pair<K, V>> min() const {
     std::optional<std::pair<K, V>> best;
     for (const auto& s : shards_) {
-      note_ordered(*s);
+      s->stats.note_ordered();
       auto m = s->map.min();
       if (m.has_value() &&
           (!best.has_value() || comp_(m->first, best->first))) {
@@ -151,7 +151,7 @@ class ShardedMap {
   std::optional<std::pair<K, V>> max() const {
     std::optional<std::pair<K, V>> best;
     for (const auto& s : shards_) {
-      note_ordered(*s);
+      s->stats.note_ordered();
       auto m = s->map.max();
       if (m.has_value() &&
           (!best.has_value() || comp_(best->first, m->first))) {
@@ -165,7 +165,7 @@ class ShardedMap {
                                                 const K& hi) const {
     std::optional<std::pair<K, V>> best;
     for (const auto& s : shards_) {
-      note_ordered(*s);
+      s->stats.note_ordered();
       auto m = s->map.first_in_range(lo, hi);
       if (m.has_value() &&
           (!best.has_value() || comp_(m->first, best->first))) {
@@ -179,7 +179,7 @@ class ShardedMap {
                                                const K& hi) const {
     std::optional<std::pair<K, V>> best;
     for (const auto& s : shards_) {
-      note_ordered(*s);
+      s->stats.note_ordered();
       auto m = s->map.last_in_range(lo, hi);
       if (m.has_value() &&
           (!best.has_value() || comp_(best->first, m->first))) {
@@ -327,7 +327,7 @@ class ShardedMap {
     std::vector<std::uint64_t> tokens;
     tokens.reserve(Shards);
     for (const auto& s : shards_) {
-      note_ordered(*s);
+      s->stats.note_ordered();
       tokens.push_back(s->map.snapshot_reserve());
     }
     const std::uint64_t e = epoch_src_.now();
@@ -450,7 +450,7 @@ class ShardedMap {
     std::vector<typename MapT::Cursor> cursors;
     cursors.reserve(Shards);
     for (const auto& s : shards_) {
-      note_ordered(*s);
+      s->stats.note_ordered();
       cursors.push_back(s->map.cursor());
     }
     return Merge(std::move(cursors), comp_);
@@ -460,17 +460,10 @@ class ShardedMap {
     std::vector<typename MapT::Cursor> cursors;
     cursors.reserve(Shards);
     for (const auto& s : shards_) {
-      note_ordered(*s);
+      s->stats.note_ordered();
       cursors.push_back(s->map.cursor(lo));
     }
     return Merge(std::move(cursors), comp_);
-  }
-
-  static void note_point(ShardSlot& s) {
-    if constexpr (obs::kEnabled) s.stats.note_point();
-  }
-  static void note_ordered(ShardSlot& s) {
-    if constexpr (obs::kEnabled) s.stats.note_ordered();
   }
 
   key_compare comp_;

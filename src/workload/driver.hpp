@@ -57,8 +57,7 @@ TrialResult run_trial(MapT& map, const Spec& spec, unsigned threads,
       // Hoisted out of the loop: the map calls below are opaque to the
       // optimizer, so reading the knob through `spec` per op would reload
       // it every iteration.
-      const unsigned sample_every =
-          obs::kEnabled ? spec.latency_sample_every : 0;
+      const unsigned sample_every = spec.latency_sample_every;
       barrier.arrive_and_wait();
       while (!stop.load(std::memory_order_relaxed)) {
         const auto key =

@@ -312,7 +312,7 @@ StressOutcome<typename MapT::key_type> run_perturbed_stress(
 /// recorded history, with zero tolerance: every operation the checker saw
 /// must have been counted exactly once by the tree's own telemetry, and —
 /// the paper's §4 claim, audited under schedule perturbation — contains
-/// must never have restarted a descent. No-op in LOT_OBS=OFF builds.
+/// must never have restarted a descent.
 ///
 /// `scan_len` must match the StressParams the run used: the recorder
 /// decomposes each range scan into exactly scan_len per-key contains
@@ -321,7 +321,6 @@ StressOutcome<typename MapT::key_type> run_perturbed_stress(
 template <typename KeyT>
 void expect_obs_reconciles(const StressOutcome<KeyT>& out,
                            std::int64_t scan_len) {
-  if (!obs::kEnabled) return;
   std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
   std::uint64_t con = 0, con_ok = 0;
   for (const auto& e : out.history) {

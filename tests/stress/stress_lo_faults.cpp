@@ -157,15 +157,17 @@ void run_fault_campaign(const FaultParams& p) {
                                       : inject::Site::kLoInsertAlloc;
     EXPECT_GT(inject::fires(alloc_site), 0u);
     // Pool-site faults (slab exhaustion inside Alloc::create) surface as
-    // the same caught bad_alloc; in LOT_POOL_ALLOC=OFF builds the site
-    // never fires and this reduces to the pre-pool equation.
+    // the same caught bad_alloc. The plain new/delete arm never reaches
+    // the pool site, so there the equation is the pre-pool one.
+    if constexpr (std::is_same_v<typename MapT::alloc_type,
+                                 lot::reclaim::PoolNodeAlloc>) {
+      EXPECT_GT(inject::fires(inject::Site::kPoolAlloc), 0u);
+    } else {
+      EXPECT_EQ(inject::fires(inject::Site::kPoolAlloc), 0u);
+    }
     EXPECT_EQ(inject::fires(alloc_site) +
                   inject::fires(inject::Site::kPoolAlloc),
               survived_oom.load());
-    if (std::is_same_v<lot::reclaim::DefaultNodeAlloc,
-                       lot::reclaim::PoolNodeAlloc>) {
-      EXPECT_GT(inject::fires(inject::Site::kPoolAlloc), 0u);
-    }
     EXPECT_GT(inject::fires(inject::Site::kGuardStallReader) +
                   inject::fires(inject::Site::kGuardStallWriter),
               0u);
@@ -208,6 +210,16 @@ TEST(LoFaultStress, AvlSurvivesInjectedFaults) {
   p.check_heights = true;
   run_fault_campaign<lot::lo::LoMap<std::int64_t, std::int64_t,
                                     std::less<std::int64_t>, true>>(p);
+}
+
+// The same campaign over plain counted new/delete (reclaim::NewNodeAlloc):
+// the only run of the fault campaign without the slab pool underneath.
+TEST(LoFaultStress, AvlNewAllocSurvivesInjectedFaults) {
+  FaultParams p;
+  p.check_heights = true;
+  run_fault_campaign<lot::lo::LoMap<std::int64_t, std::int64_t,
+                                    std::less<std::int64_t>, true,
+                                    lot::reclaim::NewNodeAlloc>>(p);
 }
 
 TEST(LoFaultStress, PartialAvlSurvivesInjectedFaults) {

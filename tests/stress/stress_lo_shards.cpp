@@ -49,7 +49,6 @@ static_assert(lot::check::kSchedulePerturb,
 template <typename KeyT>
 void expect_sharded_obs_reconciles(
     const lot::stress::StressOutcome<KeyT>& out, std::int64_t scan_len) {
-  if (!lot::obs::kEnabled) return;
   std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
   std::uint64_t con = 0, con_ok = 0;
   for (const auto& e : out.history) {

@@ -315,56 +315,53 @@ void run_storm_campaign(const StormParams& p) {
                                    out);
 
     // ---- obs reconciliation (exact, faults included) -----------------
-    if (lot::obs::kEnabled) {
-      std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
-      std::uint64_t con = 0, con_ok = 0;
-      for (const auto& e : out.history) {
-        switch (e.op) {
-          case lot::check::Op::kInsert:
-            ++ins;
-            ins_ok += e.result ? 1 : 0;
-            break;
-          case lot::check::Op::kRemove:
-            ++rem;
-            rem_ok += e.result ? 1 : 0;
-            break;
-          case lot::check::Op::kContains:
-            ++con;
-            con_ok += e.result ? 1 : 0;
-            break;
-          case lot::check::Op::kScan:
-            break;  // whole-scan observations never land in the event log
-        }
+    std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
+    std::uint64_t con = 0, con_ok = 0;
+    for (const auto& e : out.history) {
+      switch (e.op) {
+        case lot::check::Op::kInsert:
+          ++ins;
+          ins_ok += e.result ? 1 : 0;
+          break;
+        case lot::check::Op::kRemove:
+          ++rem;
+          rem_ok += e.result ? 1 : 0;
+          break;
+        case lot::check::Op::kContains:
+          ++con;
+          con_ok += e.result ? 1 : 0;
+          break;
+        case lot::check::Op::kScan:
+          break;  // whole-scan observations never land in the event log
       }
-      using lot::obs::Counter;
-      const auto d = [&](Counter c) {
-        return out.obs_after.counter(c) - out.obs_before.counter(c);
-      };
-      // A faulted insert never reached its op counter, and the recorder
-      // recorded nothing for it: history and counters agree exactly.
-      EXPECT_EQ(d(Counter::kInsertOps), ins) << "insert ops vs history";
-      EXPECT_EQ(d(Counter::kInsertSuccess), ins_ok) << "insert successes";
-      EXPECT_EQ(d(Counter::kEraseOps), rem) << "erase ops vs history";
-      EXPECT_EQ(d(Counter::kEraseSuccess), rem_ok) << "erase successes";
-      EXPECT_EQ(d(Counter::kContainsOps), con) << "contains ops vs history";
-      EXPECT_EQ(d(Counter::kContainsHits), con_ok) << "contains hits";
-      // The paper's read-side claim survives the storm: no read path ever
-      // re-descended, with every abandoned write descent paid for by a
-      // restart count (including the lazy-alloc unwind's).
-      EXPECT_EQ(lot::obs::Snapshot::contains_restarts_between(out.obs_before,
-                                                              out.obs_after),
-                0)
-          << "a read path re-descended the tree during the storm";
-      // Write-side restart audit, storm-adjusted (header comment): lazy
-      // variants count one restart per escaped insert bad_alloc with no
-      // matching fallback.
-      const std::uint64_t adjustment =
-          p.lazy_insert_alloc ? survived_oom.load() : 0;
-      EXPECT_EQ(d(Counter::kValidationFallbacks) + adjustment,
-                d(Counter::kInsertRestarts) + d(Counter::kEraseRestarts))
-          << "fallbacks vs restarts diverged (adjustment=" << adjustment
-          << ")";
     }
+    using lot::obs::Counter;
+    const auto d = [&](Counter c) {
+      return out.obs_after.counter(c) - out.obs_before.counter(c);
+    };
+    // A faulted insert never reached its op counter, and the recorder
+    // recorded nothing for it: history and counters agree exactly.
+    EXPECT_EQ(d(Counter::kInsertOps), ins) << "insert ops vs history";
+    EXPECT_EQ(d(Counter::kInsertSuccess), ins_ok) << "insert successes";
+    EXPECT_EQ(d(Counter::kEraseOps), rem) << "erase ops vs history";
+    EXPECT_EQ(d(Counter::kEraseSuccess), rem_ok) << "erase successes";
+    EXPECT_EQ(d(Counter::kContainsOps), con) << "contains ops vs history";
+    EXPECT_EQ(d(Counter::kContainsHits), con_ok) << "contains hits";
+    // The paper's read-side claim survives the storm: no read path ever
+    // re-descended, with every abandoned write descent paid for by a
+    // restart count (including the lazy-alloc unwind's).
+    EXPECT_EQ(lot::obs::Snapshot::contains_restarts_between(out.obs_before,
+                                                            out.obs_after),
+              0)
+        << "a read path re-descended the tree during the storm";
+    // Write-side restart audit, storm-adjusted (header comment): lazy
+    // variants count one restart per escaped insert bad_alloc with no
+    // matching fallback.
+    const std::uint64_t adjustment =
+        p.lazy_insert_alloc ? survived_oom.load() : 0;
+    EXPECT_EQ(d(Counter::kValidationFallbacks) + adjustment,
+              d(Counter::kInsertRestarts) + d(Counter::kEraseRestarts))
+        << "fallbacks vs restarts diverged (adjustment=" << adjustment << ")";
 
     domain.flush();
     domain.flush();

@@ -1,9 +1,9 @@
 // Tests for the overload governor (DESIGN.md §14): threshold escalation,
 // hysteresis de-escalation, no-oscillation under a flapping signal, the
-// epoch-lag persistence rule, the transition log, the one policy (a
-// sample at Degraded or worse flushes the caller's domain), and a real
-// EBR stall episode round-trip (Degraded and back within the documented
-// recovery bound).
+// epoch-lag persistence rule, the obs restart feed, the transition log,
+// the one policy (a sample at Degraded or worse flushes the caller's
+// domain), and a real EBR stall episode round-trip (Degraded and back
+// within the documented recovery bound).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "health/governor.hpp"
+#include "obs/counters.hpp"
 #include "reclaim/ebr.hpp"
 
 namespace {
@@ -95,6 +96,21 @@ TEST_F(HealthTest, StallWatchdogForcesAtLeastDegraded) {
   s.stalled_now = true;
   EXPECT_EQ(governor().apply(s), State::kDegraded);
   EXPECT_STREQ(governor().transition_log().back().cause, "stall-watchdog");
+}
+
+// The live restart signal is the tree's own telemetry: sample_signals()
+// differences the sum of three obs restart counters between samples. A
+// counter outside the three (kInsertRestarts) must not leak in.
+TEST_F(HealthTest, SampleSignalsReadsObsRestartCounters) {
+  using lot::obs::Counter;
+  lot::reclaim::EbrDomain domain;
+  // SetUp's reset() re-baselined against the process-monotonic totals.
+  lot::obs::count(Counter::kValidationFallbacks, 3);
+  lot::obs::count(Counter::kBalanceRestarts, 5);
+  lot::obs::count(Counter::kRemovalLockRetries, 7);
+  lot::obs::count(Counter::kInsertRestarts, 11);
+  EXPECT_EQ(governor().sample_signals(domain).restart_delta, 3u + 5u + 7u);
+  EXPECT_EQ(governor().sample_signals(domain).restart_delta, 0u);
 }
 
 TEST_F(HealthTest, DeEscalatesOneLevelPerRecoverTicks) {

@@ -546,8 +546,8 @@ TYPED_TEST(OrderedApiTest, NextChainMonotoneUnderChurn) {
 //
 // MVCC snapshot views (DESIGN.md §16). LOT_MVCC=OFF keeps the pre-MVCC
 // weak-scan contract bit-for-bit: the scaffolding collapses to empty
-// stand-ins exactly like the LOT_OBS off-gate, the node
-// sheds its stamp fields, and snapshot() disappears from the API.
+// stand-ins, the node sheds its stamp fields, and snapshot() disappears
+// from the API.
 
 #if defined(LOT_DISABLE_MVCC)
 

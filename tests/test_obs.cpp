@@ -3,17 +3,14 @@
 // against a sorted reference through util::percentile (the shared rank
 // convention); counters are proven exact under concurrency; snapshots are
 // proven safe (and monotone) while writers run; a released shard is
-// proven adoptable with its values intact; and the compile-time gate is
-// proven zero-cost (empty handle types, dead hooks) in OFF builds — this
-// same file runs in check.sh's -DLOT_OBS=OFF stage and asserts the other
-// side of every gate.
+// proven adoptable with its values intact; and the per-op handle is
+// pinned to a single shard pointer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "lo/avl.hpp"
@@ -28,42 +25,14 @@ namespace {
 
 using lot::obs::Counter;
 using lot::obs::HistogramStats;
+using lot::obs::LatencyHistogram;
 using lot::obs::OpKind;
 using lot::obs::Registry;
 using lot::obs::Snapshot;
 
-// ---------------------------------------------------------------------------
-// The zero-cost-when-off contract, checked at compile time from both sides.
-// OFF: the handles are empty types — a ScopedLatency in the driver loop or
-// a Tls in an op prologue occupies no state and every call on them is an
-// empty inline. ON: Tls is exactly one shard pointer.
-#if defined(LOT_DISABLE_OBS)
-static_assert(!lot::obs::kEnabled);
-static_assert(std::is_empty_v<lot::obs::Tls>);
-static_assert(std::is_empty_v<lot::obs::ScopedLatency>);
-#else
-static_assert(lot::obs::kEnabled);
+// The per-op counting handle is exactly one shard pointer: grabbing it in
+// an op prologue costs one TLS load and no further state.
 static_assert(sizeof(lot::obs::Tls) == sizeof(void*));
-#endif
-
-TEST(ObsGate, OffBuildCountsNothing) {
-  if (lot::obs::kEnabled) GTEST_SKIP() << "ON build";
-  lot::obs::count(Counter::kContainsOps, 1000);
-  lot::obs::tls().add(Counter::kInsertOps, 1000);
-  EXPECT_EQ(lot::obs::counter_total(Counter::kContainsOps), 0u);
-  EXPECT_EQ(lot::obs::counter_total(Counter::kInsertOps), 0u);
-  EXPECT_EQ(lot::obs::counter_shards(), 0u);
-  lot::obs::record_latency(OpKind::kContains, 123);
-  const Snapshot s = Registry::instance().snapshot();
-  EXPECT_EQ(s.counter(Counter::kContainsOps), 0u);
-  EXPECT_EQ(s.latency[0].count, 0u);
-  // The report surface still works (reporting code carries no #ifdefs).
-  EXPECT_NE(s.to_json().find("\"enabled\": false"), std::string::npos);
-}
-
-#if !defined(LOT_DISABLE_OBS)
-
-using lot::obs::LatencyHistogram;
 
 // ---------------------------------------------------------------------------
 // Bucketing math.
@@ -334,11 +303,22 @@ TEST(ObsRegistry, SerializersCarryTheSchema) {
   EXPECT_NE(json.find("\"tree_descents\""), std::string::npos);
   EXPECT_NE(json.find("\"scan\""), std::string::npos);
   EXPECT_NE(json.find("\"epoch_lag\""), std::string::npos);
+  // The longest line (the pool gauges) must arrive whole with every gauge
+  // at its widest: its last field is present and every brace closes.
+  Snapshot wide = s;
+  auto& pool = wide.ebr.pool;
+  pool.slabs = pool.huge_chunks = pool.allocs = pool.frees =
+      pool.remote_frees = pool.harvests = pool.fallback_allocs =
+          pool.fallback_frees = pool.caches_created = pool.caches_adopted =
+              wide.live_nodes = UINT64_MAX;
+  const std::string wide_json = wide.to_json();
+  EXPECT_NE(wide_json.find("\"live_nodes\": 18446744073709551615}"),
+            std::string::npos);
+  EXPECT_EQ(std::count(wide_json.begin(), wide_json.end(), '{'),
+            std::count(wide_json.begin(), wide_json.end(), '}'));
   const std::string text = s.to_text();
   EXPECT_NE(text.find("contains_restarts"), std::string::npos);
   EXPECT_NE(text.find("tree_descents"), std::string::npos);
 }
-
-#endif  // !LOT_DISABLE_OBS
 
 }  // namespace

@@ -84,11 +84,9 @@ TEST(RebalanceThrottle, HotWriterDefersAndRepairConverges) {
   EXPECT_FALSE(strict_before.ok)
       << "a sorted fill with every rotation deferred cannot satisfy the "
          "strict AVL bound — the throttle never engaged";
-#if !defined(LOT_DISABLE_OBS)
   EXPECT_GT(obs1.counter(lot::obs::Counter::kRotationsDeferred) -
                 obs0.counter(lot::obs::Counter::kRotationsDeferred),
             0u);
-#endif
   EXPECT_GT(m.repair_balance(), 0u);
 
   const auto strict = lot::lo::validate(m, /*check_heights=*/true);
@@ -148,11 +146,9 @@ TEST(RebalanceThrottle, RuntimeKnobOffNeverDefersUnderContention) {
   }
   EXPECT_GT(lot::health::contention_events(), 0u);
   const auto obs1 = lot::obs::Registry::instance().snapshot();
-  if constexpr (lot::obs::kEnabled) {
-    EXPECT_EQ(obs1.counter(lot::obs::Counter::kRotationsDeferred) -
-                  obs0.counter(lot::obs::Counter::kRotationsDeferred),
-              0u);
-  }
+  EXPECT_EQ(obs1.counter(lot::obs::Counter::kRotationsDeferred) -
+                obs0.counter(lot::obs::Counter::kRotationsDeferred),
+            0u);
   m.repair_balance();
   const auto rep = lot::lo::validate(m, /*check_heights=*/true);
   EXPECT_TRUE(rep.ok) << rep.to_string();

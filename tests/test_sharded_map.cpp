@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -26,6 +27,7 @@
 #include "lo/bst.hpp"
 #include "lo/partial.hpp"
 #include "reclaim/alloc_stats.hpp"
+#include "reclaim/pool.hpp"
 #include "shard/sharded_map.hpp"
 #include "shard/validate.hpp"
 #include "obs/obs.hpp"
@@ -49,14 +51,15 @@ static_assert(lot::adapters::OrderedMap<ShardedMap<AvlMap<K, V>, 4>>);
 static_assert(lot::adapters::OrderedMap<ShardedMap<PartialBstMap<K, V>, 8>>);
 static_assert(lot::adapters::OrderedMap<ShardedMap<PartialAvlMap<K, V>, 2>>);
 
-// The default LO allocation policy is the slab pool, so the sharded layer
-// must detect it and give every shard a private pool — except in the
-// LOT_POOL_ALLOC=OFF escape-hatch build, where shards share the heap.
-#if !defined(LOT_DISABLE_POOL_ALLOC)
-static_assert(ShardedMap<AvlMap<K, V>, 4>::kPooledAlloc);
-#else
-static_assert(!ShardedMap<AvlMap<K, V>, 4>::kPooledAlloc);
-#endif
+// The sharded layer chooses its allocation path from the inner map's
+// `Alloc` type: the slab pool gets a private pool per shard, plain
+// new/delete shares the heap.
+static_assert(
+    ShardedMap<AvlMap<K, V, std::less<K>, lot::reclaim::PoolNodeAlloc>,
+               4>::kPooledAlloc);
+static_assert(
+    !ShardedMap<AvlMap<K, V, std::less<K>, lot::reclaim::NewNodeAlloc>,
+                4>::kPooledAlloc);
 
 template <typename MapT>
 class ShardedMapTest : public ::testing::Test {};
@@ -93,11 +96,9 @@ TYPED_TEST(ShardedMapTest, PointOpsRouteAndReconcile) {
   }
   // Router telemetry reconciles exactly: every point op counted once, on
   // the one shard it routed to.
-  if (lot::obs::kEnabled) {
-    for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
-      EXPECT_EQ(m.shard_stats(i).point_ops, expected_per_shard[i])
-          << "shard " << i;
-    }
+  for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
+    EXPECT_EQ(m.shard_stats(i).point_ops, expected_per_shard[i])
+        << "shard " << i;
   }
 }
 
