@@ -52,10 +52,13 @@
 #      from the map surface) plus the weak-scan stress arm — the scan
 #      campaign rerun against unversioned trees, holding the degraded
 #      scans to exactly the per-key §11 contract;
-#   9. the huge-page pool cell: a short perfbench run of the 2·10^6-key
-#      Table-1 cell (avl-70-20-10-2m), the only traffic that grows a pool
-#      past kHugeChunkAfterSlabs, so 1.3M keys live on 2 MiB huge-page
-#      chunks. perfbench's value checks, size reconciliation and final
+#   9. two short perfbench cells. The 2·10^6-key Table-1 cell
+#      (avl-70-20-10-2m) is the only traffic that grows a pool past
+#      kHugeChunkAfterSlabs, so 1.3M keys live on 2 MiB huge-page chunks.
+#      snapshot-scan is the only cell that takes snapshots, so the only
+#      one whose cuts (EpochSource::cut) race real write traffic; its
+#      end-of-run check compares a final snapshot with the live map. In
+#      both, perfbench's value checks, size reconciliation and final
 #      structural validation must all pass (`correct` true, 0 failed).
 #
 # A non-linearizable history makes the stress tests dump the complete
@@ -141,18 +144,21 @@ cmake --build build-nomvcc -j "$(nproc)" >/dev/null || fail "nomvcc build"
 (cd build-nomvcc && ctest --output-on-failure -R 'LoScanStress') \
   || fail "nomvcc weak-scan stress"
 
-echo "== stage 9/9: huge-page pool cell (perfbench avl-70-20-10-2m) =="
-# No ctest tree grows a pool past 32 MiB; this is the gate for the
-# huge-chunk carve path under real 1.3M-key traffic.
-CARGO_TARGET_DIR="$PWD/build/perfbench-target" python3 perfbench/run.py \
-  --workload avl-70-20-10-2m --seed 1 --seconds 4 --trace 0 \
-  > build/perfbench-2m.out || fail "perfbench run"
-tail -n 1 build/perfbench-2m.out | python3 -c '
+echo "== stage 9/9: perfbench cells (avl-70-20-10-2m, snapshot-scan) =="
+# No ctest tree grows a pool past 32 MiB; the first cell is the gate for
+# the huge-chunk carve path under real 1.3M-key traffic, the second for
+# snapshot cuts under real churn.
+for cell in avl-70-20-10-2m snapshot-scan; do
+  CARGO_TARGET_DIR="$PWD/build/perfbench-target" python3 perfbench/run.py \
+    --workload "$cell" --seed 1 --seconds 4 --trace 0 \
+    > "build/perfbench-$cell.out" || fail "perfbench run ($cell)"
+  tail -n 1 "build/perfbench-$cell.out" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
-print("perfbench: correct=%s failed=%d attempted=%d" %
-      (r["correct"], r["failed"], r["attempted"]))
+print("perfbench %s: correct=%s failed=%d attempted=%d" %
+      (sys.argv[1], r["correct"], r["failed"], r["attempted"]))
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
-' || fail "perfbench correctness"
+' "$cell" || fail "perfbench correctness ($cell)"
+done
 
 echo "check.sh: all stages passed"

@@ -662,21 +662,23 @@ class LoCore {
 
   /// Takes a consistent snapshot of the map: registers with the snapshot
   /// registry *first* (so writers' limbo decisions already see the
-  /// reservation), then adopts the cut E. The fence pairs with the one
-  /// in mvcc_stamp_fresh: a publication this snapshot missed stamps
-  /// strictly after E (mvcc.hpp, ordering argument).
+  /// reservation), then takes the cut E — the clock's only advance. The
+  /// fence pairs with the one in mvcc_stamp_fresh: a publication this
+  /// snapshot missed stamps strictly after E (mvcc.hpp, ordering
+  /// argument).
   SnapshotView snapshot() const {
     obs::count(obs::Counter::kSnapshotAcquires);
     const std::uint64_t token = snap_reg_.reserve(epoch_src());
-    const std::uint64_t e = epoch_src().now();
+    const std::uint64_t e = epoch_src().cut();
     std::atomic_thread_fence(std::memory_order_seq_cst);
     return SnapshotView(*this, token, e);
   }
 
   /// Two-phase snapshot for multi-shard composition (shard/sharded_map
-  /// .hpp): every shard reserves first, then ONE cut E is drawn from the
-  /// shared epoch source and adopted by all — per-shard views over the
-  /// same E form a single consistent cut of the whole sharded map.
+  /// .hpp): every shard reserves first, then ONE cut E is taken from the
+  /// shared epoch source (EpochSource::cut) and adopted by all —
+  /// per-shard views over the same E form a single consistent cut of
+  /// the whole sharded map.
   /// Requires use_epoch_source() to have bound the shards together.
   std::uint64_t snapshot_reserve() const {
     return snap_reg_.reserve(epoch_src());
@@ -1286,10 +1288,10 @@ class LoCore {
   /// The park-or-retire decision, made *before* the chain splice: if any
   /// registered snapshot could still need the node (min_active < death),
   /// park it in limbo and return true (the caller must not retire it).
-  /// The remover drew `d` (seq_cst RMW) before this min load, and
-  /// reserve() stores the min (seq_cst) before its caller adopts a cut,
-  /// so a registrant this load misses adopted an epoch >= d — the node
-  /// is absent in its snapshot anyway (mvcc.hpp, ordering argument).
+  /// `d` was drawn (a seq_cst load of the clock) before this min load,
+  /// and reserve() stores the min (seq_cst) before its caller's cut RMW,
+  /// so a registrant this load misses took a cut E >= d — the node is
+  /// absent in its snapshot anyway (mvcc.hpp, ordering argument).
   bool mvcc_limbo_decision(NodeT* s, std::uint64_t d) {
     if constexpr (mvcc::kEnabled) {
       if (snap_reg_.min_active() < d) {
@@ -1347,8 +1349,8 @@ class LoCore {
 
   /// Stamps a freshly published incarnation (new node or revive), after
   /// the publishing lock is dropped. The seq_cst fence orders the
-  /// publication stores before the stamp's counter RMW: a snapshot that
-  /// missed the publication read its epoch before this fence, so the
+  /// publication stores before the stamp's clock load: a snapshot that
+  /// missed the publication took its cut before this fence, so the
   /// stamp lands strictly after its cut (mvcc.hpp, ordering argument).
   /// CAS, not a plain store, out of kRenewing: a lock-holding helper may
   /// have normalized — and a reader then finalized — the slot already.
@@ -1445,8 +1447,13 @@ class LoCore {
 
   /// Resolves a node against snapshot epoch `e`: the value its key had
   /// at the cut, or empty if absent. The vbirth re-read makes the loop a
-  /// seqlock over (vbirth, vdeath, value): stamps are unique, so a match
-  /// proves the incarnation did not turn over while we read.
+  /// seqlock over (vbirth, vdeath, value). Stamps are not unique (a
+  /// rebirth with no cut since the old birth reuses its value), yet the
+  /// re-read is ABA-free: it only runs once b <= e, and an incarnation
+  /// turnover we did not see starts with the revive's kRenewing store,
+  /// which follows our first vbirth load — so follows our cut's RMW — in
+  /// the seq_cst order. The rebirth stamp is drawn after that store, so
+  /// it is >= e + 1 != b (mvcc.hpp, ordering argument).
   std::optional<V> mvcc_resolve(const NodeT* n, std::uint64_t e,
                                 std::uint64_t* view_reads,
                                 obs::Tls tc) const {

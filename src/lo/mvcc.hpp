@@ -19,36 +19,56 @@
 // equals one caught insert bad_alloc) depends on insert being the only
 // fallible operation.
 //
-// Stamping protocol. Stamps are *unique and totally ordered*: a stamp is
-// drawn with fetch_add on the process/shard-shared counter, so for any
-// one node birth < death < next birth numerically, which is what lets
-// readers detect incarnation turnover (the vbirth re-check in the
-// resolver) and apply the "dead iff birth <= death <= E" rule without
-// tie-breaking. A writer publishes a *pending* sentinel first (kUnstamped
-// for births, kDying for deaths, both seq_cst) and finalizes it with a
-// CAS to a freshly drawn stamp; any reader that observes the pending
-// sentinel helps with the same CAS, so the stamp is single-assignment and
-// every thread agrees on it. A reader helping stamps with a draw *later*
-// than its own snapshot epoch, which pushes the concurrent (not yet
-// returned) operation after the reader's cut — a legal linearization.
+// Stamping protocol. The clock only moves when a snapshot takes its
+// cut: a stamp is a seq_cst *load* of the process/shard-shared counter
+// (EpochSource::next_stamp), and snapshot() is the one writer of the
+// counter — EpochSource::cut() fetch_adds it and adopts the value before
+// the increment as its epoch E. Writes therefore never write the shared
+// counter, and stamps are *non-decreasing*, not unique:
+// for any one node birth <= death <= next birth, with equality whenever
+// no cut fell between the two writes. That is exactly the information a
+// reader needs, because every stamp drawn after a cut's RMW reads the
+// counter at or past the increment, i.e. is >= E + 1, and every stamp
+// drawn before it is <= E. The rule "present iff birth <= E and not
+// death <= E" then needs no tie-breaking: an incarnation with
+// birth == death is present in no cut, which is right — no snapshot can
+// have fallen inside it. A writer publishes a *pending* sentinel first
+// (kUnstamped for births, kDying for deaths, both seq_cst) and finalizes
+// it with a CAS to a freshly drawn stamp; any reader that observes the
+// pending sentinel helps with the same CAS, so the stamp is
+// single-assignment and every thread agrees on it. A reader helping
+// stamps with a draw made after its own cut, so the stamp is >= E + 1,
+// which pushes the concurrent (not yet returned) operation after the
+// reader's cut — a legal linearization. The counter starts at 1, so no
+// stamp or cut ever equals the kUnstamped/kAlive sentinel 0.
+//
+// The resolver's vbirth re-check (a seqlock over vbirth, vdeath, value)
+// stays ABA-free although a rebirth may reuse the old birth's value: the
+// re-check only matters once the reader saw a birth b <= E, and a
+// turnover it missed begins with the revive's kRenewing store, which
+// follows the reader's first vbirth load — hence its cut — in the
+// seq_cst order. The rebirth is stamped after that store, so it is
+// >= E + 1 and cannot equal b.
 //
 // Ordering argument (the whole-scan-atomicity proof leans on this):
-//  * An operation that RETURNED before a snapshot read its epoch
-//    (E = now()) finalized its stamp before returning, so its stamp is
-//    <= E — the snapshot cannot miss it.
-//  * A snapshot that misses a node's publication must order its epoch
-//    load before the publisher's stamp draw: the publisher issues
+//  * An operation that RETURNED before a snapshot took its cut
+//    (E = cut()) finalized its stamp before returning; the stamp's load
+//    happens-before the cut's RMW, so coherence gives stamp <= E — the
+//    snapshot cannot miss it.
+//  * A snapshot that misses a node's publication must order its cut
+//    before the publisher's stamp draw: the publisher issues
 //    `atomic_thread_fence(seq_cst)` between the publication store and
-//    the draw, and the snapshot issues one between its epoch load and
-//    its first chain read; if the snapshot's fence precedes the
-//    publisher's in the seq_cst total order it missed the publication,
-//    but then E precedes the draw, so the stamp lands strictly after E
-//    ([atomics.order] fence-fence pairing). Either way the cut is
-//    consistent.
+//    the draw, and the snapshot issues one between its cut RMW and its
+//    first chain read; if the snapshot's fence precedes the publisher's
+//    in the seq_cst total order it missed the publication, but then the
+//    cut's RMW precedes the draw, so the draw reads >= E + 1 and the
+//    stamp lands strictly after E ([atomics.order] fence-fence pairing).
+//    Either way the cut is consistent.
 //  * The same argument with the registry's `min_active` in place of the
-//    chain makes the limbo decision safe: a remover that misses a
-//    registering snapshot drew its death stamp before that snapshot's
-//    epoch, so skipping the limbo park only ever hides nodes the
+//    chain makes the limbo decision safe: a remover whose min load
+//    misses a registering snapshot drew its death stamp before that
+//    snapshot's cut RMW in the seq_cst order, so the stamp is <= the
+//    snapshot's E — skipping the limbo park only ever hides nodes the
 //    snapshot must report absent anyway.
 //
 // Compile-time gate: building with LOT_DISABLE_MVCC (CMake -DLOT_MVCC=OFF)
@@ -93,23 +113,30 @@ inline constexpr bool kEnabled = true;
 
 /// The epoch clock: one per map by default, one shared instance across
 /// every shard of a ShardedMap (LoCore::use_epoch_source) so per-shard
-/// snapshots compose into a single cut.
+/// snapshots compose into a single cut. Only cuts write it.
 class EpochSource {
  public:
-  /// Current epoch — what snapshot() adopts as its cut E. Does not
-  /// advance the clock: consecutive snapshots with no writes in between
-  /// are the same cut.
+  /// Current epoch, without advancing the clock — the registry's
+  /// pessimistic token, which is <= any cut taken after it.
   std::uint64_t now() const { return counter_.load(std::memory_order_seq_cst); }
 
-  /// Draws a fresh, unique stamp (strictly later than every stamp drawn
-  /// before and than every snapshot epoch read before). Seq_cst RMW: the
-  /// total order with snapshot epoch loads is the Dekker backbone above.
-  std::uint64_t next_stamp() {
-    return counter_.fetch_add(1, std::memory_order_seq_cst) + 1;
+  /// Draws a stamp for a write: the current epoch. A seq_cst load, so
+  /// it is >= E + 1 for every cut E whose RMW precedes it in the seq_cst
+  /// total order and <= E for every cut it precedes (the ordering
+  /// argument above).
+  std::uint64_t next_stamp() const {
+    return counter_.load(std::memory_order_seq_cst);
+  }
+
+  /// Takes a snapshot's cut: advances the clock and returns the epoch
+  /// before the increment as E. Every stamp drawn before this RMW is
+  /// <= E, every stamp drawn after it is > E. The clock's only writer.
+  std::uint64_t cut() {
+    return counter_.fetch_add(1, std::memory_order_seq_cst);
   }
 
  private:
-  std::atomic<std::uint64_t> counter_{0};
+  std::atomic<std::uint64_t> counter_{1};
 };
 
 /// Finalizes a pending stamp slot: CASes `pending` to a freshly drawn
@@ -126,7 +153,7 @@ inline std::uint64_t finalize(std::atomic<std::uint64_t>& slot,
       return stamp;
     }
     // cur was reloaded by the failed CAS; a competing finalize may have
-    // won (the drawn stamp is simply wasted — gaps in the clock are fine).
+    // won, and its stamp is the one every thread adopts.
   }
   return cur;
 }
@@ -280,7 +307,8 @@ inline constexpr bool kEnabled = false;
 class EpochSource {
  public:
   std::uint64_t now() const { return 0; }
-  std::uint64_t next_stamp() { return 0; }
+  std::uint64_t next_stamp() const { return 0; }
+  std::uint64_t cut() { return 0; }
 };
 
 /// Stub so discarded `if constexpr (mvcc::kEnabled)` branches in

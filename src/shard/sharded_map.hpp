@@ -89,9 +89,9 @@ class ShardedMap {
       shards_.push_back(std::make_unique<ShardSlot>(comp_));
     }
 #if !defined(LOT_DISABLE_MVCC)
-    // One clock for all shards: per-shard version stamps and snapshot
-    // cuts draw from the same totally-ordered source, which is what
-    // makes the composite snapshot() below a single cut (DESIGN.md §16).
+    // One clock for all shards: per-shard version stamps read it and
+    // snapshot cuts advance it, which is what makes the composite
+    // snapshot() below a single cut (DESIGN.md §16).
     for (auto& s : shards_) s->map.use_epoch_source(epoch_src_);
 #endif
   }
@@ -319,7 +319,7 @@ class ShardedMap {
 
   /// Two-phase composite snapshot: every shard RESERVES its registry
   /// slot first (publishing its pin floor to that shard's writers), then
-  /// one cut E is drawn from the shared clock and adopted by all. A
+  /// one cut E is taken from the shared clock and adopted by all. A
   /// write on any shard stamped at or before E is visible through the
   /// snapshot, one stamped after E is not — shard-independently, which
   /// is exactly the single-cut claim tests/test_lo_ordered_api pins.
@@ -330,7 +330,7 @@ class ShardedMap {
       s->stats.note_ordered();
       tokens.push_back(s->map.snapshot_reserve());
     }
-    const std::uint64_t e = epoch_src_.now();
+    const std::uint64_t e = epoch_src_.cut();
     std::vector<typename MapT::SnapshotView> views;
     views.reserve(Shards);
     for (unsigned i = 0; i < Shards; ++i) {

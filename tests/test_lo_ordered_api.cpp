@@ -21,6 +21,7 @@
 #include "lo/mvcc.hpp"
 #include "lo/partial.hpp"
 #include "lo/validate.hpp"
+#include "obs/counters.hpp"
 #include "shard/sharded_map.hpp"
 #include "util/random.hpp"
 
@@ -618,7 +619,7 @@ TYPED_TEST(OrderedApiTest, SnapshotsStraddlingOneWriteDifferByExactlyIt) {
   const auto s1 = m.snapshot();
   ASSERT_TRUE(m.insert(33, 330));
   const auto s2 = m.snapshot();
-  EXPECT_GE(s2.epoch(), s1.epoch());
+  EXPECT_GT(s2.epoch(), s1.epoch());
 
   std::set<K> k1, k2;
   s1.for_each([&](K k, V) { k1.insert(k); });
@@ -769,6 +770,119 @@ TEST(ShardedSnapshotTest, RangeTouchesOnlyTheRequestedSpan) {
   EXPECT_EQ(got, expect);
   EXPECT_LT(compares, static_cast<std::uint64_t>(kKeys) / 8)
       << "the scan walked far past hi";
+}
+
+// The epoch clock moves only when a snapshot takes its cut (DESIGN.md
+// §16): writes read it, so a workload that never snapshots never writes
+// the one counter every thread and every shard shares.
+template <typename MapT>
+class MvccClock : public ::testing::Test {};
+using ClockImpls =
+    ::testing::Types<BstMap<K, V>, AvlMap<K, V>, PartialBstMap<K, V>,
+                     PartialAvlMap<K, V>,
+                     lot::shard::ShardedMap<PartialAvlMap<K, V>, 4>>;
+TYPED_TEST_SUITE(MvccClock, ClockImpls);
+
+TYPED_TEST(MvccClock, OnlySnapshotsAdvanceTheClock) {
+  using lot::obs::Counter;
+  using lot::obs::counter_total;
+  TypeParam m;
+  const auto& clock = m.epoch_source();
+  const std::uint64_t revives0 = counter_total(Counter::kInsertRevives);
+  const std::uint64_t t0 = clock.now();
+
+  // Fresh inserts, failed inserts and erases, erases (logical on the
+  // interior nodes of the logical-removing maps), revives, purge_all.
+  // Scrambled order, so the unbalanced BSTs get interior nodes too.
+  for (K i = 0; i < 64; ++i) ASSERT_TRUE(m.insert(i * 37 % 64, i * 37 % 64));
+  EXPECT_FALSE(m.insert(7, 0));
+  for (K k = 0; k < 64; k += 2) ASSERT_TRUE(m.erase(k));
+  EXPECT_FALSE(m.erase(0));
+  for (K k = 0; k < 64; k += 4) ASSERT_TRUE(m.insert(k, k + 100));
+  if constexpr (TypeParam::kLogicalRemoving) {
+    EXPECT_GT(counter_total(Counter::kInsertRevives), revives0)
+        << "no revive ran; the test lost its revive arm";
+    m.purge_all();
+  }
+  EXPECT_EQ(clock.now(), t0) << "a write advanced the epoch clock";
+
+  // Each snapshot is one increment, and its cut is the value before it.
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t before = clock.now();
+    const auto snap = m.snapshot();
+    EXPECT_EQ(snap.epoch(), before);
+    EXPECT_EQ(clock.now(), before + 1);
+  }
+
+  // Under a live snapshot the writes park in limbo and grow version
+  // chains; they still only read the clock.
+  const auto snap = m.snapshot();
+  const std::uint64_t t1 = clock.now();
+  for (K k = 3; k < 64; k += 4) ASSERT_TRUE(m.erase(k));
+  for (K k = 2; k < 64; k += 4) ASSERT_TRUE(m.insert(k, -k));
+  if constexpr (TypeParam::kLogicalRemoving) m.purge_all();
+  EXPECT_EQ(clock.now(), t1) << "a write under a snapshot advanced the clock";
+  EXPECT_TRUE(snap.contains(3));
+  EXPECT_FALSE(snap.contains(2));
+}
+
+// With no cut between them, writes to one key draw the same stamp:
+// insert -> erase -> revive leaves birth == death == rebirth. Half-open
+// [birth, death) ranges keep that exact — an incarnation, live or folded
+// into a PastVersion, with birth == death is present at no cut, and no
+// cut can fall inside it.
+TYPED_TEST(MvccClock, EqualStampsResolveAsHalfOpenRanges) {
+  if constexpr (!TypeParam::kLogicalRemoving) {
+    GTEST_SKIP() << "revive is logical-removing machinery";
+  } else {
+    using lot::obs::Counter;
+    using lot::obs::counter_total;
+    TypeParam m;
+    const auto& clock = m.epoch_source();
+    const std::uint64_t revives0 = counter_total(Counter::kInsertRevives);
+    const auto keys = [](const auto& snap) {
+      std::vector<std::pair<K, V>> got;
+      snap.for_each([&](K k, V v) { got.emplace_back(k, v); });
+      return got;
+    };
+
+    // Key 20 gets children 10 and 30 (the same shape in the BST and the
+    // AVL tree, all in one shard), so each erase(20) leaves a zombie
+    // and each insert(20, ...) revives it in place.
+    const auto s0 = m.snapshot();
+    const std::uint64_t c = clock.now();
+    ASSERT_TRUE(m.insert(20, 1));
+    ASSERT_TRUE(m.insert(10, 10));
+    ASSERT_TRUE(m.insert(30, 30));
+    ASSERT_TRUE(m.erase(20));
+    ASSERT_TRUE(m.insert(20, 2));
+    ASSERT_EQ(clock.now(), c) << "every stamp above must be the one epoch c";
+
+    const auto before = m.snapshot();  // cut c: 20 -> 2
+    ASSERT_TRUE(m.erase(20));
+    ASSERT_TRUE(m.insert(20, 3));      // stamped c + 1 ...
+    ASSERT_TRUE(m.erase(20));          // ... and dead at c + 1
+    const auto between = m.snapshot();  // cut c + 1: 20 absent
+    ASSERT_TRUE(m.insert(20, 4));  // folds [c + 1, c + 1) into the chain
+    const auto after = m.snapshot();   // cut c + 2: 20 -> 4
+    EXPECT_EQ(counter_total(Counter::kInsertRevives) - revives0, 3u)
+        << "key 20 was not revived in place";
+
+    EXPECT_EQ(s0.epoch() + 1, c);
+    EXPECT_EQ(before.epoch(), c);
+    EXPECT_EQ(between.epoch(), c + 1);
+    EXPECT_EQ(after.epoch(), c + 2);
+    using KVs = std::vector<std::pair<K, V>>;
+    EXPECT_TRUE(keys(s0).empty());
+    EXPECT_EQ(keys(before), (KVs{{10, 10}, {20, 2}, {30, 30}}));
+    EXPECT_EQ(keys(between), (KVs{{10, 10}, {30, 30}}))
+        << "an incarnation with birth == death resolved as present";
+    EXPECT_EQ(keys(after), (KVs{{10, 10}, {20, 4}, {30, 30}}));
+    EXPECT_FALSE(s0.contains(20));
+    EXPECT_EQ(before.get(20), std::optional<V>(2));
+    EXPECT_FALSE(between.contains(20));
+    EXPECT_EQ(after.get(20), std::optional<V>(4));
+  }
 }
 
 #endif  // LOT_DISABLE_MVCC

@@ -289,7 +289,7 @@ TEST(OrderBookScenario, SnapshotNeverObservesCrossedBook) {
     // Composite snapshot: one cut across BOTH maps.
     const auto bid_token = bids.snapshot_reserve();
     const auto ask_token = asks.snapshot_reserve();
-    const auto cut = clock.now();
+    const auto cut = clock.cut();
     const auto bid_snap = bids.snapshot_adopt(bid_token, cut);
     const auto ask_snap = asks.snapshot_adopt(ask_token, cut);
     const auto bb = best_of(bid_snap, /*want_max=*/true);
