@@ -61,104 +61,183 @@
 #      both, perfbench's value checks, size reconciliation and final
 #      structural validation must all pass (`correct` true, 0 failed).
 #
+# Every stage runs even when an earlier one failed, so one hung or
+# failing suite does not hide the verdict of the others. A stage that
+# needs a build an earlier stage could not produce fails at once. The
+# script ends with a pass/fail table and exits non-zero if any stage
+# failed.
+#
 # A non-linearizable history makes the stress tests dump the complete
 # trace + violation witness to $LOT_HISTORY_DUMP; this script pins that
-# to an absolute path and surfaces it on failure.
-set -euo pipefail
+# to an absolute path and, when a stage fails with one, moves it to
+# <dump>-stageN.txt and prints its head, so a later stage cannot
+# overwrite it.
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
 export LOT_HISTORY_DUMP="${LOT_HISTORY_DUMP:-$PWD/history.txt}"
-rm -f "$LOT_HISTORY_DUMP"
+rm -f "$LOT_HISTORY_DUMP" "${LOT_HISTORY_DUMP%.txt}"-stage*.txt
 
 STRESS_RE='LoLinearizabilityStress|LoScanStress|LoSnapshotStress|TornSnapshot|LoResumeStress|SeededBug|LoFaultStress|LoStormStress|LoShardStress|DriverCapture'
 SCAN_RE='LoScanStress|LoSnapshotStress|RecordedScanTrial'
 
+# Set by the stages that build them; read by the stages that run them.
+BUILT_DEFAULT=0
+BUILT_TSAN=0
+
+# Prints why the current stage failed; returns 1 so a stage can end with
+# `step || { fail "why"; return; }`.
 fail() {
-  echo "check.sh: FAILED at stage: $1" >&2
-  if [ -f "$LOT_HISTORY_DUMP" ]; then
-    echo "check.sh: history artifact: $LOT_HISTORY_DUMP" >&2
-    echo "check.sh: --- artifact head ---" >&2
-    head -n 12 "$LOT_HISTORY_DUMP" >&2 || true
-  fi
-  exit 1
+  echo "check.sh: FAILED: $1" >&2
+  FAIL_REASON="$1"
+  return 1
 }
 
-echo "== stage 1/9: tier-1 build + test =="
-cmake -B build -S . >/dev/null || fail "configure"
-cmake --build build -j "$(nproc)" >/dev/null || fail "build"
-(cd build && ctest --output-on-failure -j "$(nproc)" -E "$STRESS_RE") \
-  || fail "tier-1 ctest"
-scripts/obs_report.sh --json \
-  | python3 -c 'import json, sys; json.load(sys.stdin)' \
-  || fail "obs_report.sh --json is not valid JSON"
+needs() {  # needs <flag value> <what>
+  [ "$1" = 1 ] || fail "needs $2, which an earlier stage failed to build"
+}
 
-echo "== stage 2/9: perturbed linearizability + fault-injection stress =="
-(cd build && ctest --output-on-failure -R "$STRESS_RE") \
-  || fail "stress + checker"
+stage_1() {
+  cmake -B build -S . >/dev/null || { fail "configure"; return; }
+  cmake --build build -j "$(nproc)" >/dev/null || { fail "build"; return; }
+  BUILT_DEFAULT=1
+  (cd build && ctest --output-on-failure -j "$(nproc)" -E "$STRESS_RE") \
+    || { fail "tier-1 ctest"; return; }
+  scripts/obs_report.sh --json \
+    | python3 -c 'import json, sys; json.load(sys.stdin)' \
+    || fail "obs_report.sh --json is not valid JSON"
+}
 
-echo "== stage 3/9: ThreadSanitizer preset =="
-cmake --preset tsan >/dev/null || fail "tsan configure"
-cmake --build --preset tsan -j "$(nproc)" >/dev/null || fail "tsan build"
-# The explicit -E overrides the preset's own exclude filter, so it must
-# re-state the SeededBug exclusion (a result-level negative control)
-# alongside the scan, torn-snapshot, storm and shard stress deferrals
-# (stages 4, 6 and 7 gate those explicitly).
-ctest --preset tsan \
-  -E "SeededBug|TornSnapshot|$SCAN_RE|LoStormStress|LoShardStress" \
-  || fail "tsan ctest"
+stage_2() {
+  needs "$BUILT_DEFAULT" "build/" || return
+  (cd build && ctest --output-on-failure -R "$STRESS_RE") \
+    || fail "stress + checker"
+}
 
-echo "== stage 4/9: scan-enabled linearizability stress under TSan =="
-# TornSnapshot rides along: the negative control's rejection must also
-# hold with every access instrumented and iteration counts scaled down.
-ctest --preset tsan -R "$SCAN_RE|TornSnapshot" || fail "tsan scan stress"
+stage_3() {
+  cmake --preset tsan >/dev/null || { fail "tsan configure"; return; }
+  cmake --build --preset tsan -j "$(nproc)" >/dev/null \
+    || { fail "tsan build"; return; }
+  BUILT_TSAN=1
+  # The explicit -E overrides the preset's own exclude filter, so it must
+  # re-state the SeededBug exclusion (a result-level negative control)
+  # alongside the scan, torn-snapshot, storm and shard stress deferrals
+  # (stages 4, 6 and 7 gate those explicitly).
+  ctest --preset tsan \
+    -E "SeededBug|TornSnapshot|$SCAN_RE|LoStormStress|LoShardStress" \
+    || fail "tsan ctest"
+}
 
-echo "== stage 5/9: AddressSanitizer+LeakSanitizer preset =="
-cmake --preset asan >/dev/null || fail "asan configure"
-cmake --build --preset asan -j "$(nproc)" >/dev/null || fail "asan build"
-ctest --preset asan || fail "asan ctest"
+stage_4() {
+  needs "$BUILT_TSAN" "build-tsan/" || return
+  # TornSnapshot rides along: the negative control's rejection must also
+  # hold with every access instrumented and iteration counts scaled down.
+  ctest --preset tsan -R "$SCAN_RE|TornSnapshot" || fail "tsan scan stress"
+}
 
-echo "== stage 6/9: chaos storm campaign under TSan =="
-ctest --preset tsan -R 'LoStormStress' || fail "tsan storm campaign"
+stage_5() {
+  cmake --preset asan >/dev/null || { fail "asan configure"; return; }
+  cmake --build --preset asan -j "$(nproc)" >/dev/null \
+    || { fail "asan build"; return; }
+  ctest --preset asan || fail "asan ctest"
+}
 
-echo "== stage 7/9: sharded-layer gate (TSan campaign + degenerate equivalence) =="
-ctest --preset tsan -R 'LoShardStress' || fail "tsan sharded stress"
-# shards=1 must be indistinguishable from the bare tree on the same op
-# tape (default build; these also ran inside stage 1's tier-1 sweep — the
-# explicit re-run makes the acceptance criterion a named gate).
-(cd build && ctest --output-on-failure -R 'SingleShardEquivalence') \
-  || fail "shards=1 degenerate equivalence"
+stage_6() {
+  needs "$BUILT_TSAN" "build-tsan/" || return
+  ctest --preset tsan -R 'LoStormStress' || fail "tsan storm campaign"
+}
 
-echo "== stage 8/9: LOT_MVCC=OFF build + test =="
-cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null \
-  || fail "nomvcc configure"
-cmake --build build-nomvcc -j "$(nproc)" >/dev/null || fail "nomvcc build"
-# Non-stress suite with the version layer compiled out: the ordered-api
-# static_asserts prove EpochSource/SnapshotRegistry/LimboList collapse to
-# empty types and snapshot() is genuinely absent from the map surface.
-(cd build-nomvcc && ctest --output-on-failure -j "$(nproc)" \
-  -E "$STRESS_RE") || fail "nomvcc ctest"
-# The weak-scan stress arm: the scan campaign rerun against the
-# unversioned trees (the snapshot campaign itself is not built here —
-# scans degrade to the per-key-linearizable §11 contract, and the
-# history checker holds them to exactly that).
-(cd build-nomvcc && ctest --output-on-failure -R 'LoScanStress') \
-  || fail "nomvcc weak-scan stress"
+stage_7() {
+  needs "$BUILT_TSAN" "build-tsan/" || return
+  needs "$BUILT_DEFAULT" "build/" || return
+  ctest --preset tsan -R 'LoShardStress' \
+    || { fail "tsan sharded stress"; return; }
+  # shards=1 must be indistinguishable from the bare tree on the same op
+  # tape (default build; these also ran inside stage 1's tier-1 sweep —
+  # the explicit re-run makes the acceptance criterion a named gate).
+  (cd build && ctest --output-on-failure -R 'SingleShardEquivalence') \
+    || fail "shards=1 degenerate equivalence"
+}
 
-echo "== stage 9/9: perfbench cells (avl-70-20-10-2m, snapshot-scan) =="
-# No ctest tree grows a pool past 32 MiB; the first cell is the gate for
-# the huge-chunk carve path under real 1.3M-key traffic, the second for
-# snapshot cuts under real churn.
-for cell in avl-70-20-10-2m snapshot-scan; do
-  CARGO_TARGET_DIR="$PWD/build/perfbench-target" python3 perfbench/run.py \
-    --workload "$cell" --seed 1 --seconds 4 --trace 0 \
-    > "build/perfbench-$cell.out" || fail "perfbench run ($cell)"
-  tail -n 1 "build/perfbench-$cell.out" | python3 -c '
+stage_8() {
+  cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null \
+    || { fail "nomvcc configure"; return; }
+  cmake --build build-nomvcc -j "$(nproc)" >/dev/null \
+    || { fail "nomvcc build"; return; }
+  # Non-stress suite with the version layer compiled out: the ordered-api
+  # static_asserts prove EpochSource/SnapshotRegistry/LimboList collapse
+  # to empty types and snapshot() is genuinely absent from the map
+  # surface.
+  (cd build-nomvcc && ctest --output-on-failure -j "$(nproc)" \
+    -E "$STRESS_RE") || { fail "nomvcc ctest"; return; }
+  # The weak-scan stress arm: the scan campaign rerun against the
+  # unversioned trees (the snapshot campaign itself is not built here —
+  # scans degrade to the per-key-linearizable §11 contract, and the
+  # history checker holds them to exactly that).
+  (cd build-nomvcc && ctest --output-on-failure -R 'LoScanStress') \
+    || fail "nomvcc weak-scan stress"
+}
+
+stage_9() {
+  # No ctest tree grows a pool past 32 MiB; the first cell is the gate for
+  # the huge-chunk carve path under real 1.3M-key traffic, the second for
+  # snapshot cuts under real churn.
+  mkdir -p build
+  local cell
+  for cell in avl-70-20-10-2m snapshot-scan; do
+    CARGO_TARGET_DIR="$PWD/build/perfbench-target" python3 perfbench/run.py \
+      --workload "$cell" --seed 1 --seconds 4 --trace 0 \
+      > "build/perfbench-$cell.out" \
+      || { fail "perfbench run ($cell)"; return; }
+    tail -n 1 "build/perfbench-$cell.out" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 print("perfbench %s: correct=%s failed=%d attempted=%d" %
       (sys.argv[1], r["correct"], r["failed"], r["attempted"]))
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
-' "$cell" || fail "perfbench correctness ($cell)"
+' "$cell" || { fail "perfbench correctness ($cell)"; return; }
+  done
+}
+
+STAGE_NAMES=(
+  ""
+  "tier-1 build + test"
+  "perturbed linearizability + fault-injection stress"
+  "ThreadSanitizer preset"
+  "scan-enabled linearizability stress under TSan"
+  "AddressSanitizer+LeakSanitizer preset"
+  "chaos storm campaign under TSan"
+  "sharded-layer gate (TSan campaign + degenerate equivalence)"
+  "LOT_MVCC=OFF build + test"
+  "perfbench cells (avl-70-20-10-2m, snapshot-scan)"
+)
+RESULTS=()
+FAILED=0
+for n in 1 2 3 4 5 6 7 8 9; do
+  echo "== stage $n/9: ${STAGE_NAMES[$n]} =="
+  FAIL_REASON=""
+  start=$SECONDS
+  if "stage_$n"; then
+    verdict="pass"
+  else
+    verdict="FAIL: ${FAIL_REASON:-exit status}"
+    FAILED=1
+    if [ -f "$LOT_HISTORY_DUMP" ]; then
+      kept="${LOT_HISTORY_DUMP%.txt}-stage$n.txt"
+      mv "$LOT_HISTORY_DUMP" "$kept"
+      echo "check.sh: history artifact: $kept" >&2
+      echo "check.sh: --- artifact head ---" >&2
+      head -n 12 "$kept" >&2 || true
+    fi
+  fi
+  RESULTS+=("$(printf '%d/9  %-60s %5ds  %s' "$n" "${STAGE_NAMES[$n]}" \
+    "$((SECONDS - start))" "$verdict")")
 done
 
+echo "== check.sh: stage results =="
+printf '%s\n' "${RESULTS[@]}"
+if [ "$FAILED" -ne 0 ]; then
+  echo "check.sh: FAILED (see the table above)" >&2
+  exit 1
+fi
 echo "check.sh: all stages passed"

@@ -20,10 +20,21 @@
 // (merge.hpp), yielding the global ascending order because every key
 // belongs to exactly one shard.
 //
+// Owning shards: a bounded op over [lo, hi) (range, first_in_range,
+// last_in_range, Snapshot::range) enters only the shards that own a
+// 64-key block intersecting the range (router.hpp shards_in) — one or two
+// for a short scan, so it pays one or two descents and guard pins, not N.
+// That narrowing holds only for key_compare = std::less<K>, whose order is
+// the integer order the stripe is cut on, and only when the range does not
+// wrap from negative to non-negative keys; a range of N or more blocks, a
+// wrapped range and every other comparator enter all shards. The
+// unbounded for_each/cursor() and the composite snapshot() (every shard
+// reserves before the one cut) always enter every shard.
+//
 // Consistency caveat (vs DESIGN.md §11): a single shard's scan is weakly
 // consistent per key. The cross-shard merge holds one cursor — hence one
-// pinned epoch — PER SHARD for the duration of the iteration, and the
-// per-key verdicts of different shards are justified at different
+// pinned epoch — PER SHARD IT ENTERS for the duration of the iteration,
+// and the per-key verdicts of different shards are justified at different
 // instants. Nothing new is promised across shards: like the single-tree
 // scan, a cross-shard scan is not a snapshot. (Keep merges short-lived on
 // update-heavy maps: k epochs stay pinned while one is open.)
@@ -34,6 +45,7 @@
 // SizePool::route_free, which needs the slab headers alive) → pool.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -60,6 +72,7 @@ template <typename MapT, unsigned Shards = 8>
 class ShardedMap {
   static_assert(Shards >= 1 && (Shards & (Shards - 1)) == 0,
                 "shard count must be a power of two (router mask)");
+  static_assert(Shards <= 64, "shards_in returns a 64-bit shard mask");
 
  public:
   using key_type = typename MapT::key_type;
@@ -164,28 +177,32 @@ class ShardedMap {
   std::optional<std::pair<K, V>> first_in_range(const K& lo,
                                                 const K& hi) const {
     std::optional<std::pair<K, V>> best;
-    for (const auto& s : shards_) {
-      s->stats.note_ordered();
-      auto m = s->map.first_in_range(lo, hi);
+    if (!comp_(lo, hi)) return best;
+    for_owning_shards(lo, hi, [&](std::size_t i) {
+      ShardSlot& s = *shards_[i];
+      s.stats.note_ordered();
+      auto m = s.map.first_in_range(lo, hi);
       if (m.has_value() &&
           (!best.has_value() || comp_(m->first, best->first))) {
         best = std::move(m);
       }
-    }
+    });
     return best;
   }
 
   std::optional<std::pair<K, V>> last_in_range(const K& lo,
                                                const K& hi) const {
     std::optional<std::pair<K, V>> best;
-    for (const auto& s : shards_) {
-      s->stats.note_ordered();
-      auto m = s->map.last_in_range(lo, hi);
+    if (!comp_(lo, hi)) return best;
+    for_owning_shards(lo, hi, [&](std::size_t i) {
+      ShardSlot& s = *shards_[i];
+      s.stats.note_ordered();
+      auto m = s.map.last_in_range(lo, hi);
       if (m.has_value() &&
           (!best.has_value() || comp_(best->first, m->first))) {
         best = std::move(m);
       }
-    }
+    });
     return best;
   }
 
@@ -196,21 +213,23 @@ class ShardedMap {
     while (auto kv = merge.next()) fn(kv->first, kv->second);
   }
 
-  /// Ordered scan over [lo, hi): every shard's cursor enters at its first
-  /// key >= lo (one descent per shard), then the merge walks the global
-  /// order and stops at hi. Same per-key weak consistency as the inner
-  /// map's range — see the header caveat for what the merge does NOT add.
+  /// Ordered scan over [lo, hi): the cursor of every owning shard (header
+  /// comment) enters at its first key >= lo (one descent per owning
+  /// shard), then the merge walks the global order and stops at hi. Same
+  /// per-key weak consistency as the inner map's range — see the header
+  /// caveat for what the merge does NOT add.
   template <typename F>
   void range(const K& lo, const K& hi, F&& fn) const {
     if (!comp_(lo, hi)) return;
     // Counted here, at the layer that owns the op: the inner cursors
     // account their own open descents as kOrderedLocates, so a sharded
-    // scan reads as one kRangeOps plus Shards ordered locates (see the
-    // shifted contains_restarts identity in tests/stress/stress_lo_shards).
+    // scan reads as one kRangeOps plus one ordered locate per shard it
+    // enters (see the shifted contains_restarts identity in
+    // tests/stress/stress_lo_shards).
     const auto tc = obs::tls();
     tc.add(obs::Counter::kRangeOps);
     std::uint64_t reported = 0;
-    Merge merge = merge_from(lo);
+    Merge merge = merge_from(lo, hi);
     while (auto kv = merge.next()) {
       if (comp_(kv->first, lo)) continue;   // defensive: below the range
       if (!comp_(kv->first, hi)) break;     // past the range: done
@@ -263,9 +282,9 @@ class ShardedMap {
     }
 
     /// Ordered scan of [lo, hi) as of the cut: k-way merge over the
-    /// per-shard snapshot cursors, counted at this layer exactly like
-    /// the live sharded range (one kRangeOps, inner opens count their
-    /// own kOrderedLocates).
+    /// owning shards' snapshot cursors, counted at this layer exactly
+    /// like the live sharded range (one kRangeOps, inner opens count
+    /// their own kOrderedLocates).
     template <typename F>
     void range(const K& lo, const K& hi, F&& fn) const {
       if (!comp_(lo, hi)) return;
@@ -307,7 +326,9 @@ class ShardedMap {
     SnapMerge merge_over(const K& lo, const K& hi) const {
       std::vector<typename MapT::SnapshotView::Cursor> cursors;
       cursors.reserve(views_.size());
-      for (const auto& v : views_) cursors.push_back(v.cursor(lo, hi));
+      for_owning_shards(lo, hi, [&](std::size_t i) {
+        cursors.push_back(views_[i].cursor(lo, hi));
+      });
       return SnapMerge(std::move(cursors), comp_);
     }
 
@@ -446,6 +467,16 @@ class ShardedMap {
     return *shards_[shard_of(k, Shards)];
   }
 
+  /// Calls fn(i) for each shard i owning a block of [lo, hi), in index
+  /// order. Precondition: comp_(lo, hi).
+  template <typename F>
+  static void for_owning_shards(const K& lo, const K& hi, F&& fn) {
+    for (std::uint64_t m = shards_in<key_compare>(lo, hi, Shards); m != 0;
+         m &= m - 1) {
+      fn(static_cast<std::size_t>(std::countr_zero(m)));
+    }
+  }
+
   Merge merge_from_start() const {
     std::vector<typename MapT::Cursor> cursors;
     cursors.reserve(Shards);
@@ -456,13 +487,14 @@ class ShardedMap {
     return Merge(std::move(cursors), comp_);
   }
 
-  Merge merge_from(const K& lo) const {
+  Merge merge_from(const K& lo, const K& hi) const {
     std::vector<typename MapT::Cursor> cursors;
     cursors.reserve(Shards);
-    for (const auto& s : shards_) {
-      s->stats.note_ordered();
-      cursors.push_back(s->map.cursor(lo));
-    }
+    for_owning_shards(lo, hi, [&](std::size_t i) {
+      ShardSlot& s = *shards_[i];
+      s.stats.note_ordered();
+      cursors.push_back(s.map.cursor(lo));
+    });
     return Merge(std::move(cursors), comp_);
   }
 

@@ -40,12 +40,14 @@ static_assert(lot::check::kSchedulePerturb,
 
 /// Sharded variant of expect_obs_reconciles: identical op accounting, but
 /// the descent identity shifts. A sharded range counts one kRangeOps at
-/// the router layer (no descent of its own) while each of the k inner
-/// cursor opens counts its real descent as kOrderedLocates — so
-/// `accounted - descents` is exactly the number of sharded scans, and the
-/// contains_restarts audit must come out at exactly -scans instead of 0.
-/// Still zero-tolerance: any read path restarting a descent breaks the
-/// equality just as it would break the == 0 form.
+/// the router layer (no descent of its own) while each inner cursor it
+/// opens — one per shard owning a block of [lo, hi), router.hpp
+/// shards_in — counts its real descent as kOrderedLocates. However many
+/// shards a scan enters, `accounted - descents` is exactly the number of
+/// sharded scans, and the contains_restarts audit must come out at
+/// exactly -scans instead of 0. Still zero-tolerance: any read path
+/// restarting a descent breaks the equality just as it would break the
+/// == 0 form.
 template <typename KeyT>
 void expect_sharded_obs_reconciles(
     const lot::stress::StressOutcome<KeyT>& out, std::int64_t scan_len) {

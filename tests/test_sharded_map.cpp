@@ -2,11 +2,13 @@
 // layer over the logical-ordering trees. The suite pins
 //  * the full OrderedMap surface, typed over all four inner tree variants;
 //  * routing: striped block partitioning, shard-boundary keys, router
-//    stats reconciling exactly against the ops issued;
+//    stats reconciling exactly against the ops run, and bounded ordered
+//    ops entering only the shards that own a block of [lo, hi);
 //  * the degenerate shards=1 configuration behaving bit-for-bit like the
 //    unsharded tree (differential against the same op tape);
 //  * cross-shard cursor/range merges yielding the global ascending order
-//    (differential against a coarse reference snapshot);
+//    (differential against std::map, with ranges clustered on block
+//    edges and across the signed wrap);
 //  * per-shard reclamation universes: private EbrDomain + private pool
 //    per shard, rows visible in obs snapshots, and allocation accounting
 //    balancing to zero at teardown (the ASan/LSan build turns any missed
@@ -30,6 +32,7 @@
 #include "reclaim/pool.hpp"
 #include "shard/sharded_map.hpp"
 #include "shard/validate.hpp"
+#include "obs/counters.hpp"
 #include "obs/obs.hpp"
 #include "util/random.hpp"
 
@@ -60,6 +63,60 @@ static_assert(
 static_assert(
     !ShardedMap<AvlMap<K, V, std::less<K>, lot::reclaim::NewNodeAlloc>,
                 4>::kPooledAlloc);
+
+using Window = std::vector<std::pair<K, V>>;
+
+/// Keys of `ref` in [lo, hi), in the reference map's order.
+template <typename Ref>
+Window reference_window(const Ref& ref, K lo, K hi) {
+  Window want;
+  if (!ref.key_comp()(lo, hi)) return want;
+  for (auto it = ref.lower_bound(lo);
+       it != ref.end() && ref.key_comp()(it->first, hi); ++it) {
+    want.emplace_back(*it);
+  }
+  return want;
+}
+
+std::optional<std::pair<K, V>> front_of(const Window& w) {
+  if (w.empty()) return std::nullopt;
+  return w.front();
+}
+
+std::optional<std::pair<K, V>> back_of(const Window& w) {
+  if (w.empty()) return std::nullopt;
+  return w.back();
+}
+
+/// Every bounded ordered surface of `m` over [lo, hi) against the
+/// reference: live range, first_in_range, last_in_range and, with the
+/// MVCC layer compiled in, the composite snapshot's range.
+template <typename MapT, typename Ref>
+void expect_window_matches(const MapT& m, const Ref& ref, K lo, K hi) {
+  const auto want = reference_window(ref, lo, hi);
+  Window have;
+  m.range(lo, hi, [&](const K& k, const V& v) { have.emplace_back(k, v); });
+  EXPECT_EQ(have, want) << "range [" << lo << ", " << hi << ")";
+  EXPECT_EQ(m.first_in_range(lo, hi), front_of(want))
+      << "first_in_range [" << lo << ", " << hi << ")";
+  EXPECT_EQ(m.last_in_range(lo, hi), back_of(want))
+      << "last_in_range [" << lo << ", " << hi << ")";
+#if !defined(LOT_DISABLE_MVCC)
+  const auto snap = m.snapshot();
+  have.clear();
+  snap.range(lo, hi, [&](const K& k, const V& v) { have.emplace_back(k, v); });
+  EXPECT_EQ(have, want) << "snapshot range [" << lo << ", " << hi << ")";
+#endif
+}
+
+/// A key on a router block edge: 64j - 1, 64j or 64j + 1 for j drawn
+/// from [lo_block, hi_block).
+K edge_key(Xoshiro256& rng, K lo_block, K hi_block) {
+  const K j = lo_block +
+              static_cast<K>(rng.next_below(
+                  static_cast<std::uint64_t>(hi_block - lo_block)));
+  return j * 64 + static_cast<K>(rng.next_below(3)) - 1;
+}
 
 template <typename MapT>
 class ShardedMapTest : public ::testing::Test {};
@@ -95,10 +152,138 @@ TYPED_TEST(ShardedMapTest, PointOpsRouteAndReconcile) {
     expected_per_shard[TypeParam::shard_index_of(k)] += 1;
   }
   // Router telemetry reconciles exactly: every point op counted once, on
-  // the one shard it routed to.
+  // the one shard it routed to, and never as an ordered op.
   for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
     EXPECT_EQ(m.shard_stats(i).point_ops, expected_per_shard[i])
         << "shard " << i;
+    EXPECT_EQ(m.shard_stats(i).ordered_ops, 0u) << "shard " << i;
+  }
+}
+
+/// Runs one ordered op and checks the shards it entered: one ordered
+/// locate (one inner descent) per entered shard, the router's ordered_ops
+/// odometer bumped on exactly those shards and on no other.
+template <typename MapT, typename Op>
+void expect_enters(const MapT& m, const std::set<std::size_t>& shards,
+                   const char* what, K lo, K hi, Op&& op) {
+  using lot::obs::Counter;
+  std::vector<std::uint64_t> before;
+  for (unsigned i = 0; i < MapT::shard_count(); ++i) {
+    before.push_back(m.shard_stats(i).ordered_ops);
+  }
+  const std::uint64_t locates0 =
+      lot::obs::counter_total(Counter::kOrderedLocates);
+  op();
+  EXPECT_EQ(lot::obs::counter_total(Counter::kOrderedLocates) - locates0,
+            shards.size())
+      << what << " [" << lo << ", " << hi << ") ordered locates";
+  for (unsigned i = 0; i < MapT::shard_count(); ++i) {
+    EXPECT_EQ(m.shard_stats(i).ordered_ops - before[i],
+              shards.count(i) != 0 ? 1u : 0u)
+        << what << " [" << lo << ", " << hi << ") router odometer, shard "
+        << i;
+  }
+}
+
+// Bounded ordered ops enter only the shards that own a 64-key block of
+// [lo, hi) (router.hpp shards_in). Counted, not timed: each entered shard
+// adds one ordered locate and one router ordered op.
+TYPED_TEST(ShardedMapTest, RangeEntersOnlyOwningShards) {
+  const std::set<std::size_t> all = {0, 1, 2, 3};
+  struct Case {
+    K lo, hi;
+    std::set<std::size_t> shards;
+  };
+  const Case cases[] = {
+      {70, 86, {1}},          // inside block 1
+      {64, 65, {1}},          // one key
+      {120, 136, {1, 2}},     // straddles blocks 1 | 2
+      {255, 257, {3, 0}},     // straddles blocks 3 | 4: the stripe wraps
+      {10, 150, {0, 1, 2}},   // three blocks
+      {0, 256, all},          // N blocks
+      {-200, 500, all},       // more than N blocks
+      {-100, -70, {2}},       // negative keys, inside block -2
+      {-5, 5, all},           // crosses -1 | 0: the unsigned cast wraps
+      {100, 100, {}},         // empty: enters nothing
+  };
+
+  TypeParam m;
+  std::map<K, V> ref;
+  // Reversed order: the stripe is cut on the integer order, so any other
+  // comparator must enter every shard and still merge the right answer.
+  ShardedMap<PartialAvlMap<K, V, std::greater<K>>, 4> g;
+  std::map<K, V, std::greater<K>> gref;
+  for (K k = -320; k < 576; k += 3) {
+    ASSERT_TRUE(m.insert(k, 2 * k));
+    ref.emplace(k, 2 * k);
+    ASSERT_TRUE(g.insert(k, 2 * k));
+    gref.emplace(k, 2 * k);
+  }
+
+  for (const Case& c : cases) {
+    const K lo = c.lo;
+    const K hi = c.hi;
+    const std::set<std::size_t>& shards = c.shards;
+    const auto want = reference_window(ref, lo, hi);
+    expect_enters(m, shards, "range", lo, hi, [&] {
+      Window have;
+      m.range(lo, hi, [&](K k, V v) { have.emplace_back(k, v); });
+      EXPECT_EQ(have, want);
+    });
+    expect_enters(m, shards, "first_in_range", lo, hi, [&] {
+      EXPECT_EQ(m.first_in_range(lo, hi), front_of(want));
+    });
+    expect_enters(m, shards, "last_in_range", lo, hi, [&] {
+      EXPECT_EQ(m.last_in_range(lo, hi), back_of(want));
+    });
+#if !defined(LOT_DISABLE_MVCC)
+    // The composite snapshot reserves on every shard (router odometer +1
+    // each) before its one cut; only its bounded range narrows.
+    const auto snap = m.snapshot();
+    const std::uint64_t locates0 =
+        lot::obs::counter_total(lot::obs::Counter::kOrderedLocates);
+    Window have;
+    snap.range(lo, hi, [&](K k, V v) { have.emplace_back(k, v); });
+    EXPECT_EQ(have, want);
+    EXPECT_EQ(lot::obs::counter_total(lot::obs::Counter::kOrderedLocates) -
+                  locates0,
+              shards.size())
+        << "snapshot range [" << lo << ", " << hi << ") ordered locates";
+#endif
+
+    // The same key set through the reversed map: [hi - 1, lo - 1) in
+    // greater-order.
+    const K glo = hi - 1;
+    const K ghi = lo - 1;
+    const auto gwant = reference_window(gref, glo, ghi);
+    const std::set<std::size_t> gshards =
+        shards.empty() ? std::set<std::size_t>{} : all;
+    expect_enters(g, gshards, "greater range", glo, ghi, [&] {
+      Window have;
+      g.range(glo, ghi, [&](K k, V v) { have.emplace_back(k, v); });
+      EXPECT_EQ(have, gwant);
+    });
+    expect_enters(g, gshards, "greater first_in_range", glo, ghi, [&] {
+      EXPECT_EQ(g.first_in_range(glo, ghi), front_of(gwant));
+    });
+    expect_enters(g, gshards, "greater last_in_range", glo, ghi, [&] {
+      EXPECT_EQ(g.last_in_range(glo, ghi), back_of(gwant));
+    });
+  }
+
+  // The unbounded ordered ops still enter every shard: min, max and
+  // for_each add one router ordered op each on all N.
+  std::vector<std::uint64_t> before;
+  for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
+    before.push_back(m.shard_stats(i).ordered_ops);
+  }
+  EXPECT_EQ(m.min()->first, ref.begin()->first);
+  EXPECT_EQ(m.max()->first, ref.rbegin()->first);
+  std::size_t n = 0;
+  m.for_each([&](K, V) { ++n; });
+  EXPECT_EQ(n, ref.size());
+  for (unsigned i = 0; i < TypeParam::shard_count(); ++i) {
+    EXPECT_EQ(m.shard_stats(i).ordered_ops - before[i], 3u) << "shard " << i;
   }
 }
 
@@ -167,27 +352,22 @@ TYPED_TEST(ShardedMapTest, OrderedSurfaceMatchesReference) {
   // and inverted ones).
   const std::pair<K, K> windows[] = {
       {-512, 512}, {-40, 40}, {0, 1}, {100, 100}, {200, 100}, {500, 700}};
-  for (const auto& [lo, hi] : windows) {
-    std::vector<K> want;
-    for (auto it = ref.lower_bound(lo); it != ref.end() && it->first < hi;
-         ++it) {
-      want.push_back(it->first);
-    }
-    std::vector<K> have;
-    m.range(lo, hi, [&](const K& k, const V&) { have.push_back(k); });
-    EXPECT_EQ(have, want) << "[" << lo << ", " << hi << ")";
-    const auto first = m.first_in_range(lo, hi);
-    const auto last = m.last_in_range(lo, hi);
-    if (want.empty()) {
-      EXPECT_FALSE(first.has_value());
-      EXPECT_FALSE(last.has_value());
-    } else {
-      ASSERT_TRUE(first.has_value());
-      ASSERT_TRUE(last.has_value());
-      EXPECT_EQ(first->first, want.front());
-      EXPECT_EQ(last->first, want.back());
-    }
+  for (const auto& [lo, hi] : windows) expect_window_matches(m, ref, lo, hi);
+  // Seeded windows clustered on the router's block edges, where the
+  // owning-shard rule decides between one shard and two: lo and hi each
+  // one of 64j-1, 64j, 64j+1, up to five blocks apart, both signs.
+  for (int i = 0; i < 400; ++i) {
+    const K lo = edge_key(rng, -8, 8);
+    const K hi = lo - 1 + static_cast<K>(rng.next_below(5)) * 64 +
+                 static_cast<K>(rng.next_below(3));
+    expect_window_matches(m, ref, lo, hi);
   }
+  // Single-key windows, and windows across the signed wrap (the unsigned
+  // cast puts -1 in the last block and 0 in the first).
+  for (K k = -70; k < 70; ++k) expect_window_matches(m, ref, k, k + 1);
+  for (K d = 1; d < 300; d += 7) expect_window_matches(m, ref, -d, d);
+  expect_window_matches(m, ref, -1, 0);
+  expect_window_matches(m, ref, -1, 1);
   EXPECT_EQ(m.size_slow(), ref.size());
 }
 
