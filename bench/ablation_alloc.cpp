@@ -40,12 +40,10 @@ struct PackedNode {
   std::atomic<bool> mark{false};
   std::atomic<bool> deleted{false};
   std::atomic<std::uint32_t> succ_version{0};
-#if !defined(LOT_DISABLE_MVCC)
   // MVCC stamp slots (lo/node.hpp); the layout ablation predates the
   // snapshot layer but the core's write path stamps unconditionally.
   std::atomic<std::uint64_t> vbirth{0};
   std::atomic<std::uint64_t> vdeath{0};
-#endif
   std::atomic<Self*> left{nullptr};
   std::atomic<Self*> right{nullptr};
   std::atomic<Self*> parent{nullptr};

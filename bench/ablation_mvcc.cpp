@@ -1,36 +1,22 @@
 // MVCC snapshot-scan ablation (DESIGN.md §16, EXPERIMENTS.md A12): what
-// does an atomic scan cost, and what does carrying the version machinery
-// cost when nobody snapshots?
+// does an atomic scan cost?
 //
-// Two questions, two sections:
-//
-// 1. Scan-consistency mechanisms, scan-heavy mix at scan lengths
-//    16/64/256 (MVCC builds only — the snapshot series cannot exist
-//    without the layer):
-//      lo-avl-lr-weak      — live range(): per-key linearizable, whole
-//                            scan torn under churn (the §11 contract)
-//      lo-avl-lr-snapshot  — every scan draws map.snapshot() and resolves
-//                            the range against that epoch's cut
-//      coarse-rwlock       — the classic alternative: one shared_mutex
-//                            over the same tree; scans/reads take it
-//                            shared, writers exclusive, so scans are
-//                            atomic because writers stall
-//    The comparison prices atomicity two ways: the snapshot pays on the
-//    reader side (version resolution + cut materialization, writers never
-//    wait), the rwlock pays on the writer side (every scan stalls every
-//    writer). Aggregate Mop/s alone can flatter the lock — serialized
-//    writers also stop contending — so read the table together with the
-//    mix: the snapshot column's cost lands entirely on the 30% scan
-//    share, the lock's entirely on the 40% write share.
-//
-// 2. ON-but-unused overhead, point-op mixes with zero scans, A/B across
-//    two build trees (this binary from the default build and again from
-//    build-nomvcc/ -DLOT_MVCC=OFF, merged by scripts/bench_snapshot.sh
-//    into one BENCH_10.json — the ablation_obs pattern). Every label
-//    carries the build's state ("/mvcc=on" vs "/mvcc=off"); the
-//    acceptance number is the on-vs-off delta on the point-op mixes:
-//    stamping epochs on the write path with no snapshot ever taken must
-//    cost <= 3%.
+// Scan-consistency mechanisms, scan-heavy mix at scan lengths 16/64/256:
+//   lo-avl-lr-weak      — live range(): per-key linearizable, whole scan
+//                         torn under churn (the §11 contract)
+//   lo-avl-lr-snapshot  — every scan draws map.snapshot() and resolves the
+//                         range against that epoch's cut
+//   coarse-rwlock       — the classic alternative: one shared_mutex over
+//                         the same tree; scans/reads take it shared,
+//                         writers exclusive, so scans are atomic because
+//                         writers stall
+// The comparison prices atomicity two ways: the snapshot pays on the
+// reader side (version resolution + cut materialization, writers never
+// wait), the rwlock pays on the writer side (every scan stalls every
+// writer). Aggregate Mop/s alone can flatter the lock — serialized
+// writers also stop contending — so read the table together with the
+// mix: the snapshot column's cost lands entirely on the 30% scan share,
+// the lock's entirely on the 40% write share.
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -41,7 +27,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "lo/mvcc.hpp"
 #include "lo/partial.hpp"
 #include "util/cli.hpp"
 
@@ -52,7 +37,6 @@ using V = std::int64_t;
 
 using PartialAvl = lot::lo::PartialAvlMap<K, V>;
 
-#if !defined(LOT_DISABLE_MVCC)
 /// Adapter that turns every driver range() into an atomic scan: draw a
 /// snapshot, resolve the range against its cut, drop the view. This is
 /// deliberately the naive per-scan usage (acquire + release every scan),
@@ -76,7 +60,6 @@ class SnapshotScanMap {
  private:
   PartialAvl inner_;
 };
-#endif  // !LOT_DISABLE_MVCC
 
 /// The classic way to get atomic scans: one reader-writer lock over the
 /// whole map. Point reads and scans share it, writers take it exclusive —
@@ -113,10 +96,8 @@ class CoarseLockScanMap {
 };
 
 /// Same scan-heavy mix as ablation_range: 30C/20I/20R/30S, so the two
-/// ablations' weak-scan rows are directly comparable. Unused in the OFF
-/// build, which only contributes the point-op rows.
-[[maybe_unused]] lot::workload::Spec scan_spec(std::int64_t key_range,
-                                               std::int64_t scan_len) {
+/// ablations' weak-scan rows are directly comparable.
+lot::workload::Spec scan_spec(std::int64_t key_range, std::int64_t scan_len) {
   lot::workload::Spec spec;
   spec.name = "30C-20I-20R-30S-len" + std::to_string(scan_len);
   spec.contains_pct = 30;
@@ -126,12 +107,6 @@ class CoarseLockScanMap {
   spec.scan_len = scan_len;
   spec.key_range = key_range;
   return spec;
-}
-
-std::string label(const char* base) {
-  std::string s(base);
-  s += lot::lo::mvcc::kEnabled ? "/mvcc=on" : "/mvcc=off";
-  return s;
 }
 
 }  // namespace
@@ -145,12 +120,6 @@ int main(int argc, char** argv) {
       cli.get_int_list("scanlens", std::vector<std::int64_t>{16, 64, 256});
   lot::bench::JsonReport report;
 
-  std::printf("mvcc layer: %s\n",
-              lot::lo::mvcc::kEnabled ? "compiled in (LOT_MVCC=ON)"
-                                      : "compiled out (LOT_MVCC=OFF)");
-
-#if !defined(LOT_DISABLE_MVCC)
-  // Section 1: scan-consistency mechanisms across scan lengths.
   for (const auto range : cfg.key_ranges) {
     for (const auto len : scan_lens) {
       const auto spec = scan_spec(range, len);
@@ -162,28 +131,6 @@ int main(int argc, char** argv) {
                           lot::bench::run_series<SnapshotScanMap>(spec, cfg));
       series.emplace_back("coarse-rwlock",
                           lot::bench::run_series<CoarseLockScanMap>(spec, cfg));
-      lot::bench::print_series_table(cfg.threads, series);
-      for (const auto& [name, cells] : series) {
-        report.add("ablation_mvcc", spec, cfg, name, cells);
-      }
-    }
-  }
-#else
-  (void)scan_lens;
-#endif  // !LOT_DISABLE_MVCC
-
-  // Section 2: ON-but-unused point-op overhead. Runs in BOTH builds;
-  // every write stamps vbirth/vdeath in the ON build, nothing in the OFF
-  // build, and no snapshot is ever taken in either. The two JSON row
-  // sets merge into one file for the <= 3% acceptance delta.
-  for (const auto range : cfg.key_ranges) {
-    for (const auto mix :
-         {lot::workload::Mix::k100C, lot::workload::Mix::k50C25I25R}) {
-      const auto spec = lot::workload::make_spec(mix, range);
-      lot::bench::print_cell_header("MVCC on-but-unused overhead", spec);
-      std::vector<std::pair<std::string, lot::bench::Series>> series;
-      series.emplace_back(label("lo-avl-lr"),
-                          lot::bench::run_series<PartialAvl>(spec, cfg));
       lot::bench::print_series_table(cfg.threads, series);
       for (const auto& [name, cells] : series) {
         report.add("ablation_mvcc", spec, cfg, name, cells);

@@ -76,9 +76,8 @@ int main() {
     });
   }
 
-#if !defined(LOT_DISABLE_MVCC)
   // Risk thread: consistent depth totals via MVCC snapshots (DESIGN.md
-  // §16). The live range() below is per-key weakly consistent — fine for
+  // §16). The live range() is per-key weakly consistent — fine for
   // display, wrong for margin: a volume sum taken while traders move
   // levels can mix two instants of the book. snapshot() pins one cut, so
   // each tick's total is the ask side at a single point in time.
@@ -97,7 +96,6 @@ int main() {
       }
     }
   });
-#endif
 
   // Trading threads: post and cancel levels on both sides.
   std::vector<std::thread> traders;
@@ -128,9 +126,7 @@ int main() {
   for (auto& th : traders) th.join();
   stop = true;
   for (auto& th : md) th.join();
-#if !defined(LOT_DISABLE_MVCC)
   risk.join();
-#endif
 
   std::printf("order book settled: %zu bid levels, %zu ask levels\n",
               book.bids.size_slow(), book.asks.size_slow());
@@ -143,23 +139,14 @@ int main() {
               static_cast<unsigned long long>(quotes.load()),
               static_cast<unsigned long long>(crossed.load()));
 
-#if !defined(LOT_DISABLE_MVCC)
   std::printf("risk engine computed %llu consistent depth snapshots\n",
               static_cast<unsigned long long>(risk_ticks.load()));
-#endif
 
-  // Depth report within a fixed band of the touch. With MVCC on this
-  // goes through a snapshot view — band contents and totals are the book
-  // side at one instant; the LOT_MVCC=OFF build falls back to the live
-  // (weakly consistent) range and prints the same shape.
+  // Depth report within a fixed band of the touch, through a snapshot
+  // view: band contents and totals are the book side at one instant.
   constexpr Price kBand = 12;
-#if !defined(LOT_DISABLE_MVCC)
   const auto ask_side = book.asks.snapshot();
   const auto bid_side = book.bids.snapshot();
-#else
-  const auto& ask_side = book.asks;
-  const auto& bid_side = book.bids;
-#endif
   if (const auto ba = book.best_ask()) {
     std::printf("ask depth [%lld, %lld):", static_cast<long long>(*ba),
                 static_cast<long long>(*ba + kBand));

@@ -28,9 +28,9 @@
 #                  per-shard isolation diagnostic in the stdout log
 #   BENCH_10.json — MVCC snapshot ablation (ablation_mvcc): weak vs
 #                  snapshot vs coarse-rwlock scans over the scan-length
-#                  sweep, plus the on-but-unused point-op rows merged from
-#                  the default build (LOT_MVCC=ON) and build-nomvcc/
-#                  (LOT_MVCC=OFF); impl labels carry the build's state
+#                  sweep; the committed file is kept as a record and also
+#                  holds the "/mvcc=on" and "/mvcc=off" point-op rows of
+#                  the since-retired compiled-out build
 #
 # Usage: scripts/bench_snapshot.sh [out.json]
 # The target ablation is picked from the output name; default BENCH_4.json.
@@ -56,32 +56,8 @@ esac
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)" --target "$TARGET" >/dev/null
 
-# Merges two lot-bench-v1 files by concatenating their rows arrays. The
-# schema is rigid (one row per line, fixed head/tail), so plain text
-# surgery is reliable and avoids a JSON-tool dependency.
-merge_rows() {  # merge_rows a.json b.json out.json
-  head -n 3 "$1" > "$3"
-  sed -n 's/^    {/    {/p' "$1" | sed '$s/}$/},/' >> "$3"
-  sed -n 's/^    {/    {/p' "$2" >> "$3"
-  printf '  ]\n}\n' >> "$3"
-}
-
-if [ "$TARGET" = ablation_mvcc ]; then
-  # A/B across build trees: the scan-mechanism sweep only exists in the ON
-  # build; the OFF build contributes the "/mvcc=off" point-op rows for the
-  # on-but-unused overhead delta.
-  cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null
-  cmake --build build-nomvcc -j "$(nproc)" --target ablation_mvcc >/dev/null
-  ./build/bench/ablation_mvcc \
-    --threads="$THREADS" --ranges=20000 --scanlens=16,64,256 \
-    --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.on.tmp"
-  ./build-nomvcc/bench/ablation_mvcc \
-    --threads="$THREADS" --ranges=20000 --scanlens=16,64,256 \
-    --secs="$SECS" --repeats="$REPEATS" --json="${OUT}.off.tmp"
-  merge_rows "${OUT}.on.tmp" "${OUT}.off.tmp" "$OUT"
-  rm -f "${OUT}.on.tmp" "${OUT}.off.tmp"
-elif [ "$TARGET" = ablation_range ]; then
-  ./build/bench/ablation_range \
+if [ "$TARGET" = ablation_mvcc ] || [ "$TARGET" = ablation_range ]; then
+  "./build/bench/$TARGET" \
     --threads="$THREADS" --ranges=20000 --scanlens=16,64,256 \
     --secs="$SECS" --repeats="$REPEATS" --json="$OUT"
 else

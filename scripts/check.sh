@@ -46,13 +46,7 @@
 #      access instrumented) plus the shards=1 degenerate-equivalence
 #      tests from the default build — the scale-out layer must be both
 #      race-free at 4 shards and provably free at 1;
-#   8. the LOT_MVCC=OFF build (build-nomvcc/): the non-stress suite with
-#      the version layer compiled out (the ordered-api static_asserts
-#      prove the MVCC types collapse to empty and snapshot() vanishes
-#      from the map surface) plus the weak-scan stress arm — the scan
-#      campaign rerun against unversioned trees, holding the degraded
-#      scans to exactly the per-key §11 contract;
-#   9. two short perfbench cells. The 2·10^6-key Table-1 cell
+#   8. two short perfbench cells. The 2·10^6-key Table-1 cell
 #      (avl-70-20-10-2m) is the only traffic that grows a pool past
 #      kHugeChunkAfterSlabs, so 1.3M keys live on 2 MiB huge-page chunks.
 #      snapshot-scan is the only cell that takes snapshots, so the only
@@ -160,25 +154,6 @@ stage_7() {
 }
 
 stage_8() {
-  cmake -B build-nomvcc -S . -DLOT_MVCC=OFF >/dev/null \
-    || { fail "nomvcc configure"; return; }
-  cmake --build build-nomvcc -j "$(nproc)" >/dev/null \
-    || { fail "nomvcc build"; return; }
-  # Non-stress suite with the version layer compiled out: the ordered-api
-  # static_asserts prove EpochSource/SnapshotRegistry/LimboList collapse
-  # to empty types and snapshot() is genuinely absent from the map
-  # surface.
-  (cd build-nomvcc && ctest --output-on-failure -j "$(nproc)" \
-    -E "$STRESS_RE") || { fail "nomvcc ctest"; return; }
-  # The weak-scan stress arm: the scan campaign rerun against the
-  # unversioned trees (the snapshot campaign itself is not built here —
-  # scans degrade to the per-key-linearizable §11 contract, and the
-  # history checker holds them to exactly that).
-  (cd build-nomvcc && ctest --output-on-failure -R 'LoScanStress') \
-    || fail "nomvcc weak-scan stress"
-}
-
-stage_9() {
   # No ctest tree grows a pool past 32 MiB; the first cell is the gate for
   # the huge-chunk carve path under real 1.3M-key traffic, the second for
   # snapshot cuts under real churn.
@@ -208,13 +183,12 @@ STAGE_NAMES=(
   "AddressSanitizer+LeakSanitizer preset"
   "chaos storm campaign under TSan"
   "sharded-layer gate (TSan campaign + degenerate equivalence)"
-  "LOT_MVCC=OFF build + test"
   "perfbench cells (avl-70-20-10-2m, snapshot-scan)"
 )
 RESULTS=()
 FAILED=0
-for n in 1 2 3 4 5 6 7 8 9; do
-  echo "== stage $n/9: ${STAGE_NAMES[$n]} =="
+for n in 1 2 3 4 5 6 7 8; do
+  echo "== stage $n/8: ${STAGE_NAMES[$n]} =="
   FAIL_REASON=""
   start=$SECONDS
   if "stage_$n"; then
@@ -230,7 +204,7 @@ for n in 1 2 3 4 5 6 7 8 9; do
       head -n 12 "$kept" >&2 || true
     fi
   fi
-  RESULTS+=("$(printf '%d/9  %-60s %5ds  %s' "$n" "${STAGE_NAMES[$n]}" \
+  RESULTS+=("$(printf '%d/8  %-60s %5ds  %s' "$n" "${STAGE_NAMES[$n]}" \
     "$((SECONDS - start))" "$verdict")")
 done
 

@@ -463,7 +463,6 @@ class LoCore {
   /// cross-shard range merge uses to enter each shard at the range start.
   Cursor cursor(const K& lo) const { return Cursor(*this, lo); }
 
-#if !defined(LOT_DISABLE_MVCC)
   /// An epoch-pinned consistent read view (DESIGN.md §16): every read
   /// through the view resolves against the single cut E adopted at
   /// snapshot() time — the whole scan linearizes at one point, unlike
@@ -700,7 +699,6 @@ class LoCore {
   std::size_t debug_active_snapshots() const {
     return snap_reg_.active_count();
   }
-#endif  // !LOT_DISABLE_MVCC
 
   /// O(n) size via the ordering chain; exact at quiescence.
   std::size_t size_slow() const {
@@ -798,19 +796,17 @@ class LoCore {
               throw;
             }
           }
-          if constexpr (mvcc::kEnabled) {
-            if (vspare == nullptr && cmp(s_cap, k) == 0 &&
-                s_cap->deleted.load(std::memory_order_acquire)) {
-              // The capture says "zombie": the revive under the lock will
-              // need a past-incarnation record. Same unwind accounting as
-              // the lazy node allocation above on a throw.
-              try {
-                vspare = alloc_.template create<mvcc::PastVersion<V>>();
-              } catch (...) {
-                if (nn != nullptr) Alloc::template destroy<NodeT>(nn);
-                tc.add(obs::Counter::kInsertRestarts);
-                throw;
-              }
+          if (vspare == nullptr && cmp(s_cap, k) == 0 &&
+              s_cap->deleted.load(std::memory_order_acquire)) {
+            // The capture says "zombie": the revive under the lock will
+            // need a past-incarnation record. Same unwind accounting as
+            // the lazy node allocation above on a throw.
+            try {
+              vspare = alloc_.template create<mvcc::PastVersion<V>>();
+            } catch (...) {
+              if (nn != nullptr) Alloc::template destroy<NodeT>(nn);
+              tc.add(obs::Counter::kInsertRestarts);
+              throw;
             }
           }
         }
@@ -836,25 +832,23 @@ class LoCore {
             // Physically present.
             if constexpr (kLogicalRemoving) {
               if (s->deleted.load(std::memory_order_acquire)) {
-                if constexpr (mvcc::kEnabled) {
-                  if (vspare == nullptr) {
-                    // The capture missed the zombie (it was absent, or
-                    // live, at capture time), so no record was
-                    // pre-allocated. Never allocate under the interval
-                    // lock: drop it and resume from p — the next capture
-                    // sees the zombie and pre-allocates (same discipline
-                    // as the nn==nullptr resume below).
-                    p->succ_lock.unlock();
-                    tc.add(obs::Counter::kLocateResumes);
-                    node = p;
-                    continue;
-                  }
-                  // Fold the outgoing incarnation into the spare record
-                  // and flip vbirth to kRenewing *before* the live
-                  // stores: snapshots resolve through the chain until
-                  // the rebirth is stamped (DESIGN.md §16).
-                  mvcc_begin_revive(s, vspare, tc);
+                if (vspare == nullptr) {
+                  // The capture missed the zombie (it was absent, or
+                  // live, at capture time), so no record was
+                  // pre-allocated. Never allocate under the interval
+                  // lock: drop it and resume from p — the next capture
+                  // sees the zombie and pre-allocates (same discipline
+                  // as the nn==nullptr resume below).
+                  p->succ_lock.unlock();
+                  tc.add(obs::Counter::kLocateResumes);
+                  node = p;
+                  continue;
                 }
+                // Fold the outgoing incarnation into the spare record
+                // and flip vbirth to kRenewing *before* the live
+                // stores: snapshots resolve through the chain until
+                // the rebirth is stamped (DESIGN.md §16).
+                mvcc_begin_revive(s, vspare, tc);
                 // Revive in place: value first, then the presence flip.
                 s->value.store(v, std::memory_order_relaxed);
                 s->deleted.store(false, std::memory_order_release);
@@ -1031,10 +1025,7 @@ class LoCore {
           // snapshot scan collects limbo after its chain walk, so a node
           // it can still need must already be parked when it disappears
           // from the chain (DESIGN.md §16).
-          bool limboed = false;
-          if constexpr (mvcc::kEnabled) {
-            limboed = mvcc_limbo_decision(s, mvcc_mark_dead(s));
-          }
+          const bool limboed = mvcc_limbo_decision(s, mvcc_mark_dead(s));
           unlink_from_chain(p, s);
           check::perturb_point(check::PerturbPoint::kEraseBeforeTreeUnlink);
           if (shape == RemovalShape::kOneChild) {
@@ -1239,11 +1230,9 @@ class LoCore {
   }
 
   // ------------------------------------------------- MVCC hooks (§16)
-  // Every body below is `if constexpr (mvcc::kEnabled)`-gated, so with
-  // LOT_DISABLE_MVCC the calls compile away and the write path is
-  // bit-identical to the pre-MVCC tree. Stamp slots are mutated only by
-  // the writer holding the node's interval lock, plus the bounded
-  // help-finalize CAS (mvcc.hpp has the protocol).
+  // Stamp slots are mutated only by the writer holding the node's
+  // interval lock, plus the bounded help-finalize CAS (mvcc.hpp has the
+  // protocol).
 
   static_assert(mvcc::kUnstamped == 0 && mvcc::kAlive == 0,
                 "node stamp fields initialize to 0 == kUnstamped/kAlive "
@@ -1257,32 +1246,22 @@ class LoCore {
   /// section (including its value store) completed, so helping the
   /// kRenewing -> kUnstamped transition is safe here — readers never may.
   std::uint64_t mvcc_mark_dead(NodeT* s) {
-    if constexpr (mvcc::kEnabled) {
-      std::uint64_t b = s->vbirth.load(std::memory_order_seq_cst);
-      if (b == mvcc::kRenewing) {
-        s->vbirth.compare_exchange_strong(b, mvcc::kUnstamped,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst);
-      }
-      mvcc::finalize(s->vbirth, mvcc::kUnstamped, epoch_src());
-      s->vdeath.store(mvcc::kDying, std::memory_order_seq_cst);
-      return mvcc::finalize(s->vdeath, mvcc::kDying, epoch_src());
-    } else {
-      (void)s;
-      return 0;
+    std::uint64_t b = s->vbirth.load(std::memory_order_seq_cst);
+    if (b == mvcc::kRenewing) {
+      s->vbirth.compare_exchange_strong(b, mvcc::kUnstamped,
+                                        std::memory_order_seq_cst,
+                                        std::memory_order_seq_cst);
     }
+    mvcc::finalize(s->vbirth, mvcc::kUnstamped, epoch_src());
+    s->vdeath.store(mvcc::kDying, std::memory_order_seq_cst);
+    return mvcc::finalize(s->vdeath, mvcc::kDying, epoch_src());
   }
 
   /// Help-finalizes an already-initiated death (a zombie's, stamped by
   /// the logical erase that zombified it) and returns the stamp. Never
   /// initiates: vdeath has left kAlive by the caller's precondition.
   std::uint64_t mvcc_finalize_death(NodeT* q) {
-    if constexpr (mvcc::kEnabled) {
-      return mvcc::finalize(q->vdeath, mvcc::kDying, epoch_src());
-    } else {
-      (void)q;
-      return 0;
-    }
+    return mvcc::finalize(q->vdeath, mvcc::kDying, epoch_src());
   }
 
   /// The park-or-retire decision, made *before* the chain splice: if any
@@ -1293,14 +1272,9 @@ class LoCore {
   /// so a registrant this load misses took a cut E >= d — the node is
   /// absent in its snapshot anyway (mvcc.hpp, ordering argument).
   bool mvcc_limbo_decision(NodeT* s, std::uint64_t d) {
-    if constexpr (mvcc::kEnabled) {
-      if (snap_reg_.min_active() < d) {
-        limbo_.push(s, d);
-        return true;
-      }
-    } else {
-      (void)s;
-      (void)d;
+    if (snap_reg_.min_active() < d) {
+      limbo_.push(s, d);
+      return true;
     }
     return false;
   }
@@ -1312,39 +1286,33 @@ class LoCore {
   /// ownership of spare (nulls it).
   void mvcc_begin_revive(NodeT* s, mvcc::PastVersion<V>*& spare,
                          obs::Tls tc) {
-    if constexpr (mvcc::kEnabled) {
-      // Normalize + finalize the outgoing stamps (lock held: helping the
-      // pending rebirth is safe, as in mvcc_mark_dead). The death is
-      // already stamped — the logical erase finalized it under this same
-      // interval lock — so finalize just reloads it.
-      std::uint64_t b = s->vbirth.load(std::memory_order_seq_cst);
-      if (b == mvcc::kRenewing) {
-        s->vbirth.compare_exchange_strong(b, mvcc::kUnstamped,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst);
-      }
-      const std::uint64_t birth =
-          mvcc::finalize(s->vbirth, mvcc::kUnstamped, epoch_src());
-      const std::uint64_t death =
-          mvcc::finalize(s->vdeath, mvcc::kDying, epoch_src());
-      spare->birth = birth;
-      spare->death = death;
-      spare->value = s->value.load(std::memory_order_relaxed);
-      spare->next.store(s->vhead.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      s->vhead.store(spare, std::memory_order_seq_cst);
-      spare = nullptr;
-      // kRenewing *before* resetting vdeath: a resolver that already read
-      // the old stamped vbirth must fail its seqlock re-check rather than
-      // pair the old birth with the reset death slot.
-      s->vbirth.store(mvcc::kRenewing, std::memory_order_seq_cst);
-      s->vdeath.store(mvcc::kAlive, std::memory_order_seq_cst);
-      mvcc_truncate(s, tc);
-    } else {
-      (void)s;
-      (void)spare;
-      (void)tc;
+    // Normalize + finalize the outgoing stamps (lock held: helping the
+    // pending rebirth is safe, as in mvcc_mark_dead). The death is
+    // already stamped — the logical erase finalized it under this same
+    // interval lock — so finalize just reloads it.
+    std::uint64_t b = s->vbirth.load(std::memory_order_seq_cst);
+    if (b == mvcc::kRenewing) {
+      s->vbirth.compare_exchange_strong(b, mvcc::kUnstamped,
+                                        std::memory_order_seq_cst,
+                                        std::memory_order_seq_cst);
     }
+    const std::uint64_t birth =
+        mvcc::finalize(s->vbirth, mvcc::kUnstamped, epoch_src());
+    const std::uint64_t death =
+        mvcc::finalize(s->vdeath, mvcc::kDying, epoch_src());
+    spare->birth = birth;
+    spare->death = death;
+    spare->value = s->value.load(std::memory_order_relaxed);
+    spare->next.store(s->vhead.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+    s->vhead.store(spare, std::memory_order_seq_cst);
+    spare = nullptr;
+    // kRenewing *before* resetting vdeath: a resolver that already read
+    // the old stamped vbirth must fail its seqlock re-check rather than
+    // pair the old birth with the reset death slot.
+    s->vbirth.store(mvcc::kRenewing, std::memory_order_seq_cst);
+    s->vdeath.store(mvcc::kAlive, std::memory_order_seq_cst);
+    mvcc_truncate(s, tc);
   }
 
   /// Stamps a freshly published incarnation (new node or revive), after
@@ -1355,18 +1323,14 @@ class LoCore {
   /// CAS, not a plain store, out of kRenewing: a lock-holding helper may
   /// have normalized — and a reader then finalized — the slot already.
   void mvcc_stamp_fresh(NodeT* n) const {
-    if constexpr (mvcc::kEnabled) {
-      std::uint64_t b = n->vbirth.load(std::memory_order_seq_cst);
-      if (b == mvcc::kRenewing) {
-        n->vbirth.compare_exchange_strong(b, mvcc::kUnstamped,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst);
-      }
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      mvcc::finalize(n->vbirth, mvcc::kUnstamped, epoch_src());
-    } else {
-      (void)n;
+    std::uint64_t b = n->vbirth.load(std::memory_order_seq_cst);
+    if (b == mvcc::kRenewing) {
+      n->vbirth.compare_exchange_strong(b, mvcc::kUnstamped,
+                                        std::memory_order_seq_cst,
+                                        std::memory_order_seq_cst);
     }
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    mvcc::finalize(n->vbirth, mvcc::kUnstamped, epoch_src());
   }
 
   /// Cuts s's version chain below the oldest record any registered
@@ -1375,7 +1339,7 @@ class LoCore {
   /// first record with death <= min_active is an absorbing boundary: no
   /// resolution walks past it. It stays; everything older retires.
   void mvcc_truncate(NodeT* s, obs::Tls tc) {
-    if constexpr (mvcc::kEnabled && kLogicalRemoving) {
+    if constexpr (kLogicalRemoving) {
       const std::uint64_t m = snap_reg_.min_active();
       mvcc::PastVersion<V>* r = s->vhead.load(std::memory_order_relaxed);
       while (r != nullptr && r->death > m) {
@@ -1402,7 +1366,7 @@ class LoCore {
   /// the structure for good (physical removal with no snapshot needing
   /// it, or a limbo prune).
   void mvcc_retire_versions(NodeT* s, obs::Tls tc) const {
-    if constexpr (mvcc::kEnabled && kLogicalRemoving) {
+    if constexpr (kLogicalRemoving) {
       mvcc::PastVersion<V>* r =
           s->vhead.exchange(nullptr, std::memory_order_relaxed);
       std::uint64_t n = 0;
@@ -1422,7 +1386,7 @@ class LoCore {
   /// Teardown-only variant: destroys the chain directly (no grace period
   /// — the destructor runs with no operations in flight).
   static void mvcc_destroy_versions(NodeT* n) {
-    if constexpr (mvcc::kEnabled && kLogicalRemoving) {
+    if constexpr (kLogicalRemoving) {
       mvcc::PastVersion<V>* r =
           n->vhead.load(std::memory_order_relaxed);
       while (r != nullptr) {
@@ -1436,12 +1400,8 @@ class LoCore {
   }
 
   static void mvcc_free_spare(mvcc::PastVersion<V>* sp) {
-    if constexpr (mvcc::kEnabled) {
-      if (sp != nullptr) {
-        Alloc::template destroy<mvcc::PastVersion<V>>(sp);
-      }
-    } else {
-      (void)sp;
+    if (sp != nullptr) {
+      Alloc::template destroy<mvcc::PastVersion<V>>(sp);
     }
   }
 
@@ -1457,49 +1417,41 @@ class LoCore {
   std::optional<V> mvcc_resolve(const NodeT* n, std::uint64_t e,
                                 std::uint64_t* view_reads,
                                 obs::Tls tc) const {
-    if constexpr (mvcc::kEnabled) {
 #if defined(LOT_INJECT_BUG) && LOT_INJECT_BUG == 3
-      // Seeded bug (checker negative control): the snapshot's second node
-      // resolution "forgets" its epoch bound and reads newest state — a
-      // torn scan mixing two cuts, which cannot linearize at any single
-      // point (tests/stress/stress_lo_torn_snapshot.cpp).
-      if (view_reads != nullptr && ++*view_reads == 2) {
-        e = mvcc::kNoSnapshot - 1;
-      }
+    // Seeded bug (checker negative control): the snapshot's second node
+    // resolution "forgets" its epoch bound and reads newest state — a
+    // torn scan mixing two cuts, which cannot linearize at any single
+    // point (tests/stress/stress_lo_torn_snapshot.cpp).
+    if (view_reads != nullptr && ++*view_reads == 2) {
+      e = mvcc::kNoSnapshot - 1;
+    }
 #else
-      (void)view_reads;
+    (void)view_reads;
 #endif
-      NodeT* node = const_cast<NodeT*>(n);
-      for (;;) {
-        const std::uint64_t b = node->vbirth.load(std::memory_order_seq_cst);
-        if (b == mvcc::kRenewing) {
-          // Rebirth mid-flight. Never help (the value slot is not ours
-          // yet); the chain already holds the outgoing incarnation, and
-          // the rebirth will stamp later than any adopted cut.
-          return mvcc_resolve_chain(node, e, tc);
-        }
-        if (b == mvcc::kUnstamped) {
-          // Published but unstamped: help draw. The drawn stamp is later
-          // than our cut, so the next iteration routes to the chain.
-          mvcc::finalize(node->vbirth, mvcc::kUnstamped, epoch_src());
-          continue;
-        }
-        if (b > e) return mvcc_resolve_chain(node, e, tc);
-        std::uint64_t d = node->vdeath.load(std::memory_order_seq_cst);
-        if (d == mvcc::kDying) {
-          d = mvcc::finalize(node->vdeath, mvcc::kDying, epoch_src());
-        }
-        const V val = read_value(node);
-        if (node->vbirth.load(std::memory_order_seq_cst) != b) continue;
-        if (d != mvcc::kAlive && d <= e) return std::nullopt;
-        return val;
+    NodeT* node = const_cast<NodeT*>(n);
+    for (;;) {
+      const std::uint64_t b = node->vbirth.load(std::memory_order_seq_cst);
+      if (b == mvcc::kRenewing) {
+        // Rebirth mid-flight. Never help (the value slot is not ours
+        // yet); the chain already holds the outgoing incarnation, and
+        // the rebirth will stamp later than any adopted cut.
+        return mvcc_resolve_chain(node, e, tc);
       }
-    } else {
-      (void)n;
-      (void)e;
-      (void)view_reads;
-      (void)tc;
-      return std::nullopt;
+      if (b == mvcc::kUnstamped) {
+        // Published but unstamped: help draw. The drawn stamp is later
+        // than our cut, so the next iteration routes to the chain.
+        mvcc::finalize(node->vbirth, mvcc::kUnstamped, epoch_src());
+        continue;
+      }
+      if (b > e) return mvcc_resolve_chain(node, e, tc);
+      std::uint64_t d = node->vdeath.load(std::memory_order_seq_cst);
+      if (d == mvcc::kDying) {
+        d = mvcc::finalize(node->vdeath, mvcc::kDying, epoch_src());
+      }
+      const V val = read_value(node);
+      if (node->vbirth.load(std::memory_order_seq_cst) != b) continue;
+      if (d != mvcc::kAlive && d <= e) return std::nullopt;
+      return val;
     }
   }
 
@@ -1508,24 +1460,17 @@ class LoCore {
   /// exist at the cut. On-time nodes have no chain — always absent.
   std::optional<V> mvcc_resolve_chain(const NodeT* n, std::uint64_t e,
                                       obs::Tls tc) const {
-    if constexpr (mvcc::kEnabled) {
-      tc.add(obs::Counter::kVersionChainWalks);
-      if constexpr (kLogicalRemoving) {
-        const mvcc::PastVersion<V>* r =
-            n->vhead.load(std::memory_order_seq_cst);
-        while (r != nullptr && r->birth > e) {
-          r = r->next.load(std::memory_order_seq_cst);
-        }
-        if (r == nullptr || r->death <= e) return std::nullopt;
-        return r->value;
-      } else {
-        (void)n;
-        return std::nullopt;
+    tc.add(obs::Counter::kVersionChainWalks);
+    if constexpr (kLogicalRemoving) {
+      const mvcc::PastVersion<V>* r =
+          n->vhead.load(std::memory_order_seq_cst);
+      while (r != nullptr && r->birth > e) {
+        r = r->next.load(std::memory_order_seq_cst);
       }
+      if (r == nullptr || r->death <= e) return std::nullopt;
+      return r->value;
     } else {
       (void)n;
-      (void)e;
-      (void)tc;
       return std::nullopt;
     }
   }
@@ -1533,12 +1478,10 @@ class LoCore {
   /// Retires every limbo entry no registered snapshot can need. Runs on
   /// view release, so limbo only grows while snapshots are live.
   void mvcc_prune_limbo() const {
-    if constexpr (mvcc::kEnabled) {
-      limbo_.prune(snap_reg_.min_active(), [this](NodeT* n) {
-        mvcc_retire_versions(n, obs::tls());
-        domain_->template retire_via<Alloc>(n);
-      });
-    }
+    limbo_.prune(snap_reg_.min_active(), [this](NodeT* n) {
+      mvcc_retire_versions(n, obs::tls());
+      domain_->template retire_via<Alloc>(n);
+    });
   }
 
   /// Publishes a relink of p->succ. Call under p's succ_lock, after the
@@ -1892,10 +1835,7 @@ class LoCore {
     // it; no new stamp here — just help-finalize in case that erase's
     // finalize CAS has not landed yet, and reuse the stamp for the limbo
     // decision.
-    bool limboed = false;
-    if constexpr (mvcc::kEnabled) {
-      limboed = mvcc_limbo_decision(q, mvcc_finalize_death(q));
-    }
+    const bool limboed = mvcc_limbo_decision(q, mvcc_finalize_death(q));
     unlink_from_chain(p, q);
     unlink_node(q, np, child);
     if (!limboed) {
@@ -1913,9 +1853,8 @@ class LoCore {
   NodeT* neg_;
   NodeT* pos_;
 
-  // MVCC state (lo/mvcc.hpp; empty stand-ins when compiled out, so the
-  // declarations stay unconditional). The owned source is the default
-  // clock; ShardedMap rebinds every shard to one shared source. Mutable:
+  // MVCC state (lo/mvcc.hpp). The owned source is the default clock;
+  // ShardedMap rebinds every shard to one shared source. Mutable:
   // snapshot() is a read and must work on const maps.
   mutable mvcc::EpochSource epoch_src_own_;
   mvcc::EpochSource* epoch_src_ = &epoch_src_own_;

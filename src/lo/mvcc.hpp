@@ -70,12 +70,6 @@
 //    snapshot's cut RMW in the seq_cst order, so the stamp is <= the
 //    snapshot's E — skipping the limbo park only ever hides nodes the
 //    snapshot must report absent anyway.
-//
-// Compile-time gate: building with LOT_DISABLE_MVCC (CMake -DLOT_MVCC=OFF)
-// replaces everything below with empty inline types, the node loses its
-// stamp fields, and the trees keep the pre-MVCC weakly-consistent scan
-// contract bit-for-bit (tests/test_lo_ordered_api.cpp static_asserts the
-// types stay empty).
 #pragma once
 
 #include <atomic>
@@ -106,10 +100,6 @@ inline constexpr std::uint64_t kDying = ~std::uint64_t{0};
 
 /// SnapshotRegistry::min_active() when no snapshot is registered.
 inline constexpr std::uint64_t kNoSnapshot = ~std::uint64_t{0};
-
-#if !defined(LOT_DISABLE_MVCC)
-
-inline constexpr bool kEnabled = true;
 
 /// The epoch clock: one per map by default, one shared instance across
 /// every shard of a ShardedMap (LoCore::use_epoch_source) so per-shard
@@ -295,53 +285,5 @@ class LimboList {
   mutable sync::SpinLock lock_;
   std::vector<Entry> entries_;
 };
-
-#else  // LOT_DISABLE_MVCC
-
-inline constexpr bool kEnabled = false;
-
-// Empty inline stand-ins: the hooks in lo/core.hpp compile to nothing and
-// snapshot() disappears. tests/test_lo_ordered_api.cpp static_asserts
-// these stay empty.
-
-class EpochSource {
- public:
-  std::uint64_t now() const { return 0; }
-  std::uint64_t next_stamp() const { return 0; }
-  std::uint64_t cut() { return 0; }
-};
-
-/// Stub so discarded `if constexpr (mvcc::kEnabled)` branches in
-/// lo/core.hpp still name-resolve; never called.
-inline std::uint64_t finalize(std::atomic<std::uint64_t>&, std::uint64_t,
-                              EpochSource&) {
-  return 0;
-}
-
-template <typename V>
-struct PastVersion;  // never defined: nothing may allocate one
-
-class SnapshotRegistry {
- public:
-  std::uint64_t reserve(EpochSource&) { return 0; }
-  void release(std::uint64_t) {}
-  std::uint64_t min_active() const { return kNoSnapshot; }
-  std::size_t active_count() const { return 0; }
-};
-
-template <typename Node>
-class LimboList {
- public:
-  void push(Node*, std::uint64_t) {}
-  template <typename F>
-  void for_each(F&&) const {}
-  template <typename F>
-  std::size_t prune(std::uint64_t, F&&) {
-    return 0;
-  }
-  std::size_t size() const { return 0; }
-};
-
-#endif  // LOT_DISABLE_MVCC
 
 }  // namespace lot::lo::mvcc

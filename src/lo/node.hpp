@@ -80,7 +80,6 @@ struct alignas(sync::kCacheLineSize) Node {
 
   V value;
 
-#if !defined(LOT_DISABLE_MVCC)
   /// MVCC incarnation stamps (lo/mvcc.hpp, DESIGN.md §16): the epochs
   /// this node's key became present (vbirth) and absent (vdeath).
   /// 0 == mvcc::kUnstamped / mvcc::kAlive (the header is not included
@@ -91,7 +90,6 @@ struct alignas(sync::kCacheLineSize) Node {
   /// the help-finalize CAS readers are allowed (see mvcc.hpp).
   std::atomic<std::uint64_t> vbirth{0};
   std::atomic<std::uint64_t> vdeath{0};
-#endif
 
   // ---- cold line: physical tree layout (tree_lock; the descent reads
   // left/right) + both locks ----
@@ -150,7 +148,6 @@ struct alignas(sync::kCacheLineSize) PartialNode {
   /// Atomic so revive's store can race with lock-free value reads.
   std::atomic<V> value;
 
-#if !defined(LOT_DISABLE_MVCC)
   /// MVCC incarnation stamps; see Node::vbirth / Node::vdeath.
   std::atomic<std::uint64_t> vbirth{0};
   std::atomic<std::uint64_t> vdeath{0};
@@ -159,7 +156,6 @@ struct alignas(sync::kCacheLineSize) PartialNode {
   /// revive-in-place appends (the outgoing incarnation is folded into a
   /// record), so the on-time layout above carries no chain at all.
   std::atomic<mvcc::PastVersion<V>*> vhead{nullptr};
-#endif
 
   // ---- cold line: physical tree layout (tree_lock; the descent reads
   // left/right) + both locks ----
@@ -215,11 +211,9 @@ static_assert(offsetof(ProbeNode, key) < sync::kCacheLineSize &&
                   offsetof(ProbeNode, value) + sizeof(std::int64_t) <=
                       sync::kCacheLineSize,
               "the ordering walk must fit in the first cache line");
-#if !defined(LOT_DISABLE_MVCC)
 static_assert(offsetof(ProbeNode, vdeath) + sizeof(std::uint64_t) <=
                   sync::kCacheLineSize,
               "MVCC stamps must ride the hot line");
-#endif
 static_assert(offsetof(ProbeNode, left) == sync::kCacheLineSize &&
                   offsetof(ProbeNode, tree_lock) >= sync::kCacheLineSize &&
                   offsetof(ProbeNode, succ_lock) >= sync::kCacheLineSize,
@@ -246,13 +240,11 @@ static_assert(offsetof(ProbePartialNode, key) < sync::kCacheLineSize &&
                   offsetof(ProbePartialNode, value) + sizeof(std::int64_t) <=
                       sync::kCacheLineSize,
               "the ordering walk must fit in the first cache line");
-#if !defined(LOT_DISABLE_MVCC)
 static_assert(offsetof(ProbePartialNode, vdeath) + sizeof(std::uint64_t) <=
                   sync::kCacheLineSize &&
                   offsetof(ProbePartialNode, vhead) + sizeof(void*) <=
                       sync::kCacheLineSize,
               "MVCC stamps and the chain head must ride the hot line");
-#endif
 static_assert(offsetof(ProbePartialNode, left) == sync::kCacheLineSize &&
                   offsetof(ProbePartialNode, tree_lock) >=
                       sync::kCacheLineSize &&

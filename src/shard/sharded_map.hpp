@@ -101,12 +101,10 @@ class ShardedMap {
     for (unsigned i = 0; i < Shards; ++i) {
       shards_.push_back(std::make_unique<ShardSlot>(comp_));
     }
-#if !defined(LOT_DISABLE_MVCC)
     // One clock for all shards: per-shard version stamps read it and
     // snapshot cuts advance it, which is what makes the composite
     // snapshot() below a single cut (DESIGN.md §16).
     for (auto& s : shards_) s->map.use_epoch_source(epoch_src_);
-#endif
   }
 
   ShardedMap(const ShardedMap&) = delete;
@@ -254,7 +252,6 @@ class ShardedMap {
 
   Cursor cursor() const { return Cursor(merge_from_start()); }
 
-#if !defined(LOT_DISABLE_MVCC)
   // --------------------------------------------------- composite snapshot
 
   /// One consistent cut of the WHOLE sharded map (DESIGN.md §16): every
@@ -362,7 +359,6 @@ class ShardedMap {
 
   /// The shared clock (tests: stamp-source identity across shards).
   lo::mvcc::EpochSource& epoch_source() const { return epoch_src_; }
-#endif  // !LOT_DISABLE_MVCC
 
   // ------------------------------------------------------- conveniences
 
@@ -503,12 +499,10 @@ class ShardedMap {
   // cacheline-aligned stats block, and the vector must never relocate a
   // live domain.
   std::vector<std::unique_ptr<ShardSlot>> shards_;
-#if !defined(LOT_DISABLE_MVCC)
   // Declared after shards_ so it outlives no shard during construction;
   // mutable because snapshot() is a read on a const map. Shards are
   // rebound to it in the constructor, before any op can run.
   mutable lo::mvcc::EpochSource epoch_src_;
-#endif
 };
 
 }  // namespace lot::shard

@@ -65,11 +65,11 @@ struct StressParams {
   std::uint32_t max_sleep_us = 60;
   bool prefill = true;              // recorded half-dense prefill
   unsigned scan_pct = 0;            // taken from the erase share's tail
-  // Snapshot scans (MVCC builds): also taken from the erase share, between
-  // erase and the weak scans. Each draws a SnapshotView and records ONE
-  // whole-scan observation (check/history.hpp) that the whole-scan checker
-  // must explain at a single linearization point. On maps without
-  // snapshot() (or LOT_MVCC=OFF builds) the share falls back to erase.
+  // Snapshot scans: also taken from the erase share, between erase and
+  // the weak scans. Each draws a SnapshotView and records ONE whole-scan
+  // observation (check/history.hpp) that the whole-scan checker must
+  // explain at a single linearization point. On maps without snapshot()
+  // (the baselines) the share falls back to erase.
   unsigned snapshot_pct = 0;
   std::int64_t scan_len = 12;       // keys spanned per recorded scan
   // Per-op chance (permille) of an unrecorded purge_all() burst racing the
@@ -228,8 +228,8 @@ StressOutcome<typename MapT::key_type> run_perturbed_stress(
             // Snapshot scan, recorded as ONE whole-scan observation: the
             // entire reported vector must hold at a single point within
             // the window. Falls back to erase when the map has no
-            // snapshot() (weak-scan / LOT_MVCC=OFF builds), keeping the
-            // op mix comparable across configurations.
+            // snapshot() (the baselines), keeping the op mix comparable
+            // across structures.
             if constexpr (requires { map.snapshot(); }) {
               rec.record_snapshot_scan(
                   t, key, static_cast<K>(key + p.scan_len),

@@ -34,9 +34,6 @@ using lot::stress::StressParams;
 static_assert(lot::check::kSchedulePerturb,
               "stress targets must compile the trees with "
               "LOT_SCHEDULE_PERTURB (see tests/stress/CMakeLists.txt)");
-#if defined(LOT_DISABLE_MVCC)
-#error "the snapshot stress requires an MVCC build (-DLOT_MVCC=ON)"
-#endif
 
 template <typename MapT>
 class LoSnapshotStress : public ::testing::Test {};

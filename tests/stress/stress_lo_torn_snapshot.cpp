@@ -22,9 +22,6 @@
 #if !defined(LOT_INJECT_BUG) || LOT_INJECT_BUG != 3
 #error "this target must be compiled with LOT_INJECT_BUG=3"
 #endif
-#if defined(LOT_DISABLE_MVCC)
-#error "the torn-snapshot control requires an MVCC build (-DLOT_MVCC=ON)"
-#endif
 
 namespace {
 

@@ -10,7 +10,6 @@
 #include <optional>
 #include <set>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "check/linearize.hpp"
 #include "lo/avl.hpp"
 #include "lo/bst.hpp"
-#include "lo/mvcc.hpp"
 #include "lo/partial.hpp"
 #include "lo/validate.hpp"
 #include "obs/counters.hpp"
@@ -545,32 +543,7 @@ TYPED_TEST(OrderedApiTest, NextChainMonotoneUnderChurn) {
 
 // ------------------------------------------------------------- snapshots
 //
-// MVCC snapshot views (DESIGN.md §16). LOT_MVCC=OFF keeps the pre-MVCC
-// weak-scan contract bit-for-bit: the scaffolding collapses to empty
-// stand-ins, the node sheds its stamp fields, and snapshot() disappears
-// from the API.
-
-#if defined(LOT_DISABLE_MVCC)
-
-static_assert(!lot::lo::mvcc::kEnabled);
-static_assert(std::is_empty_v<lot::lo::mvcc::EpochSource>,
-              "MVCC-off epoch source must stay an empty type");
-static_assert(std::is_empty_v<lot::lo::mvcc::SnapshotRegistry>,
-              "MVCC-off snapshot registry must stay an empty type");
-static_assert(
-    std::is_empty_v<lot::lo::mvcc::LimboList<int>>,
-    "MVCC-off limbo list must stay an empty type");
-// And snapshot() itself must be compiled out, not stubbed.
-template <typename M>
-concept HasSnapshot = requires(const M& m) { m.snapshot(); };
-static_assert(!HasSnapshot<PartialAvlMap<K, V>>,
-              "MVCC-off maps must not expose snapshot()");
-static_assert(!HasSnapshot<lot::shard::ShardedMap<PartialAvlMap<K, V>, 4>>,
-              "MVCC-off sharded maps must not expose snapshot()");
-
-#else  // MVCC on
-
-static_assert(lot::lo::mvcc::kEnabled);
+// MVCC snapshot views (DESIGN.md §16).
 
 // A snapshot is an immutable cut: writes landing after the cut — erases,
 // fresh inserts, revives — never leak into the view, while the live map
@@ -884,7 +857,5 @@ TYPED_TEST(MvccClock, EqualStampsResolveAsHalfOpenRanges) {
     EXPECT_EQ(after.get(20), std::optional<V>(4));
   }
 }
-
-#endif  // LOT_DISABLE_MVCC
 
 }  // namespace

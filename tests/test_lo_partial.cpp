@@ -69,14 +69,9 @@ TYPED_TEST(LoPartialTest, ReviveReusesNodeAndUpdatesValue) {
   ASSERT_TRUE(m.erase(50));
   const auto before = lot::reclaim::AllocStats::allocated().load();
   ASSERT_TRUE(m.insert(50, 999));  // revive reuses the node
-#if defined(LOT_DISABLE_MVCC)
-  // Allocation-free — the point of the logical-removing variant.
-  EXPECT_EQ(lot::reclaim::AllocStats::allocated().load(), before);
-#else
   // The node is reused, but the revive folds the outgoing incarnation
   // into one PastVersion record for snapshot readers (DESIGN.md §16).
   EXPECT_EQ(lot::reclaim::AllocStats::allocated().load(), before + 1);
-#endif
   EXPECT_EQ(m.get(50).value(), 999);
   EXPECT_EQ(m.size_slow(), 3u);
   this->expect_valid(m);

@@ -221,7 +221,6 @@ TYPED_TEST(ScenarioTest, NoDeadlockUnderAdjacentKeyContention) {
   EXPECT_TRUE(rep.ok) << rep.to_string();
 }
 
-#if !defined(LOT_DISABLE_MVCC)
 // The order-book scenario (examples/orderbook.cpp) with the snapshot
 // layer closing its documented gap: bids and asks are two independent
 // maps, so reading best-bid then best-ask non-atomically can observe a
@@ -308,6 +307,5 @@ TEST(OrderBookScenario, SnapshotNeverObservesCrossedBook) {
               << "by the snapshot path";
   }
 }
-#endif  // !LOT_DISABLE_MVCC
 
 }  // namespace

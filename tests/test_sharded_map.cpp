@@ -101,12 +101,10 @@ void expect_window_matches(const MapT& m, const Ref& ref, K lo, K hi) {
       << "first_in_range [" << lo << ", " << hi << ")";
   EXPECT_EQ(m.last_in_range(lo, hi), back_of(want))
       << "last_in_range [" << lo << ", " << hi << ")";
-#if !defined(LOT_DISABLE_MVCC)
   const auto snap = m.snapshot();
   have.clear();
   snap.range(lo, hi, [&](const K& k, const V& v) { have.emplace_back(k, v); });
   EXPECT_EQ(have, want) << "snapshot range [" << lo << ", " << hi << ")";
-#endif
 }
 
 /// A key on a router block edge: 64j - 1, 64j or 64j + 1 for j drawn
@@ -236,7 +234,6 @@ TYPED_TEST(ShardedMapTest, RangeEntersOnlyOwningShards) {
     expect_enters(m, shards, "last_in_range", lo, hi, [&] {
       EXPECT_EQ(m.last_in_range(lo, hi), back_of(want));
     });
-#if !defined(LOT_DISABLE_MVCC)
     // The composite snapshot reserves on every shard (router odometer +1
     // each) before its one cut; only its bounded range narrows.
     const auto snap = m.snapshot();
@@ -249,7 +246,6 @@ TYPED_TEST(ShardedMapTest, RangeEntersOnlyOwningShards) {
                   locates0,
               shards.size())
         << "snapshot range [" << lo << ", " << hi << ") ordered locates";
-#endif
 
     // The same key set through the reversed map: [hi - 1, lo - 1) in
     // greater-order.
