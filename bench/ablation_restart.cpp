@@ -1,15 +1,11 @@
 // Restart ablation (DESIGN.md §13, EXPERIMENTS.md A9): what does the
-// versioned write path buy, and what does the rotation throttle add?
+// versioned write path buy?
 //
-// Three arms, all running the identical lo-avl tree with --obs forced on
+// Two arms, both running the identical lo-avl tree with --obs forced on
 // so every cell carries the restart/resume/rotation counters:
-//   lo-avl-resume+throttle — resume budget 8, throttle on (this PR's
-//                            default configuration)
-//   lo-avl-rootrestart     — resume budget 0, throttle off: every failed
-//                            validation re-descends from the root, the
-//                            pre-PR write path bit-for-bit
-//   lo-avl-resume-only     — resume budget 8, throttle off (isolates the
-//                            resume delta from the throttle delta)
+//   lo-avl-resume      — resume budget 8 (the default configuration)
+//   lo-avl-rootrestart — resume budget 0: every failed validation
+//                        re-descends from the root
 //
 // Each arm runs the paper's 4-thread contended mix uniform and Zipf(0.99)
 // skewed — the skewed run concentrates writers on adjacent keys, which is
@@ -22,7 +18,6 @@
 
 #include "bench/common.hpp"
 #include "lo/avl.hpp"
-#include "lo/rebalance.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -33,13 +28,11 @@ using Avl = lot::lo::AvlMap<K, K>;
 struct Arm {
   const char* name;
   std::uint32_t resume_limit;
-  bool throttle;
 };
 
 constexpr Arm kArms[] = {
-    {"lo-avl-resume+throttle", 8, true},
-    {"lo-avl-rootrestart", 0, false},
-    {"lo-avl-resume-only", 8, false},
+    {"lo-avl-resume", 8},
+    {"lo-avl-rootrestart", 0},
 };
 
 }  // namespace
@@ -66,12 +59,10 @@ int main(int argc, char** argv) {
       std::vector<std::pair<std::string, lot::bench::Series>> series;
       for (const Arm& arm : kArms) {
         lot::lo::set_write_resume_limit(arm.resume_limit);
-        lot::lo::detail::set_rebalance_throttle(arm.throttle);
         series.emplace_back(arm.name,
                             lot::bench::run_series<Avl>(spec, cfg));
       }
       lot::lo::set_write_resume_limit(saved_limit);
-      lot::lo::detail::set_rebalance_throttle(true);
       lot::bench::print_series_table(cfg.threads, series);
       for (const auto& [name, cells] : series) {
         report.add("ablation_restart", spec, cfg, name, cells);

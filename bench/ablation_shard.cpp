@@ -1,7 +1,7 @@
 // Shard ablation (DESIGN.md §15, EXPERIMENTS.md A11): what does the
 // shard-routed scale-out layer buy under write contention, and does the
-// per-shard heat/reclamation isolation hold when the load is skewed onto
-// one shard?
+// per-shard reclamation isolation hold when the load is skewed onto one
+// shard?
 //
 // Four arms, all the same lo-avl tree behind ShardedMap at shards ∈
 // {1, 2, 4, 8}. shards=1 is the overhead floor — identical router + merge
@@ -22,10 +22,10 @@
 //
 // After the table sweep, a per-shard diagnostic trial at max threads
 // prints router + domain odometers for the x8 uniform and zipf cells: in
-// the zipf arm the cold shards' contention heat and throttle deferrals
-// must stay near zero while shard 0 absorbs the pressure — that isolation
-// is the claim this ablation exists to price, and it is only visible at
-// shard granularity, not in the aggregate obs column.
+// the zipf arm the cold shards' contention events must stay near zero
+// while shard 0 absorbs the pressure — that isolation is the claim this
+// ablation exists to price, and it is only visible at shard granularity,
+// not in the aggregate obs column.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -64,12 +64,10 @@ void per_shard_diagnostic(const lot::workload::Spec& spec,
     const auto rs = map.shard_stats(i);
     const auto ds = map.shard_domain(i).stats();
     std::printf("    shard %zu: point_ops=%-9llu ordered_ops=%-6llu "
-                "heat_events=%-7llu rot_deferred=%-6llu "
-                "backlog_peak=%zu\n",
+                "contention_events=%-7llu backlog_peak=%zu\n",
                 i, static_cast<unsigned long long>(rs.point_ops),
                 static_cast<unsigned long long>(rs.ordered_ops),
                 static_cast<unsigned long long>(ds.contention_events),
-                static_cast<unsigned long long>(ds.rotations_deferred),
                 ds.backlog_peak);
   }
 }

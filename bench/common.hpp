@@ -73,7 +73,6 @@ struct ObsCell {
   std::uint64_t locate_resumes = 0;        // in-place resumes (no descent)
   std::uint64_t validation_fallbacks = 0;  // budget exhausted -> re-descent
   std::uint64_t rotations = 0;
-  std::uint64_t rotations_deferred = 0;    // throttle-deferred climbs
   obs::HistogramStats contains_lat{};
   obs::HistogramStats insert_lat{};
 };
@@ -121,7 +120,6 @@ Series run_series(const workload::Spec& spec, const TableConfig& cfg) {
       cell.obs.locate_resumes = d(obs::Counter::kLocateResumes);
       cell.obs.validation_fallbacks = d(obs::Counter::kValidationFallbacks);
       cell.obs.rotations = d(obs::Counter::kRotations);
-      cell.obs.rotations_deferred = d(obs::Counter::kRotationsDeferred);
       cell.obs.contains_lat = after.latency[static_cast<std::size_t>(
           obs::OpKind::kContains)];
       cell.obs.insert_lat =
@@ -259,7 +257,7 @@ class JsonReport {
             ", \"obs\": {\"contains_restarts\": %lld, "
             "\"insert_restarts\": %llu, \"erase_restarts\": %llu, "
             "\"locate_resumes\": %llu, \"validation_fallbacks\": %llu, "
-            "\"rotations\": %llu, \"rotations_deferred\": %llu, "
+            "\"rotations\": %llu, "
             "\"contains_p50_ns\": %.1f, "
             "\"contains_p99_ns\": %.1f, \"insert_p50_ns\": %.1f, "
             "\"insert_p99_ns\": %.1f, \"lat_samples\": %llu}",
@@ -269,7 +267,6 @@ class JsonReport {
             static_cast<unsigned long long>(o.locate_resumes),
             static_cast<unsigned long long>(o.validation_fallbacks),
             static_cast<unsigned long long>(o.rotations),
-            static_cast<unsigned long long>(o.rotations_deferred),
             o.contains_lat.p50_ns, o.contains_lat.p99_ns,
             o.insert_lat.p50_ns, o.insert_lat.p99_ns,
             static_cast<unsigned long long>(o.contains_lat.count +

@@ -139,7 +139,8 @@ bool soak_lo(const char* name, const Config& cfg, bool balanced,
   stop = true;
   for (auto& w : workers) w.join();
   if constexpr (MapT::kBalanced) {
-    // Converge throttle-deferred rotations before the strict-height check.
+    // Repair heights stale from abandoned climbs before the strict-height
+    // check.
     if (balanced) map.repair_balance();
   }
   const auto rep = lot::lo::validate(map, balanced, partial);

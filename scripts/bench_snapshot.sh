@@ -15,9 +15,11 @@
 #                  file is kept as a record and also holds the "/obs=off"
 #                  rows of the since-retired compiled-out build
 #   BENCH_6.json — restart ablation (ablation_restart): versioned-resume
-#                  write path vs pre-PR root restart vs resume without the
-#                  rotation throttle, uniform and Zipf(0.99) mixes, restart
-#                  and resume counters in every row
+#                  write path vs root restart, uniform and Zipf(0.99)
+#                  mixes, restart and resume counters in every row; the
+#                  committed file is kept as a record and also holds the
+#                  rows of the since-retired rotation throttle's arms
+#                  (EXPERIMENTS.md A9)
 #   BENCH_7.json — governor ablation, policies on vs off in calm weather
 #                  and under a guard-stall storm plateau; kept as a record
 #                  only (its bench binary is gone: the policies it priced

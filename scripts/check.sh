@@ -46,14 +46,17 @@
 #      access instrumented) plus the shards=1 degenerate-equivalence
 #      tests from the default build — the scale-out layer must be both
 #      race-free at 4 shards and provably free at 1;
-#   8. two short perfbench cells. The 2·10^6-key Table-1 cell
+#   8. three short perfbench cells. The 2·10^6-key Table-1 cell
 #      (avl-70-20-10-2m) is the only traffic that grows a pool past
 #      kHugeChunkAfterSlabs, so 1.3M keys live on 2 MiB huge-page chunks.
-#      snapshot-scan is the only cell that takes snapshots, so the only
-#      one whose cuts (EpochSource::cut) race real write traffic; its
-#      end-of-run check compares a final snapshot with the live map. In
-#      both, perfbench's value checks, size reconciliation and final
-#      structural validation must all pass (`correct` true, 0 failed).
+#      The 2·10^4-key Table-1 cell (avl-50-25-25-20k) runs the rebalance
+#      climb hardest: the most rotations per op, and writers colliding on
+#      interval locks and climbs. snapshot-scan is the only cell that
+#      takes snapshots, so the only one whose cuts (EpochSource::cut)
+#      race real write traffic; its end-of-run check compares a final
+#      snapshot with the live map. In all three, perfbench's value checks,
+#      size reconciliation and final structural validation must pass
+#      (`correct` true, 0 failed).
 #
 # Every stage runs even when an earlier one failed, so one hung or
 # failing suite does not hide the verdict of the others. A stage that
@@ -156,10 +159,11 @@ stage_7() {
 stage_8() {
   # No ctest tree grows a pool past 32 MiB; the first cell is the gate for
   # the huge-chunk carve path under real 1.3M-key traffic, the second for
-  # snapshot cuts under real churn.
+  # contended rotations and climbs, the third for snapshot cuts under real
+  # churn.
   mkdir -p build
   local cell
-  for cell in avl-70-20-10-2m snapshot-scan; do
+  for cell in avl-70-20-10-2m avl-50-25-25-20k snapshot-scan; do
     CARGO_TARGET_DIR="$PWD/build/perfbench-target" python3 perfbench/run.py \
       --workload "$cell" --seed 1 --seconds 4 --trace 0 \
       > "build/perfbench-$cell.out" \
@@ -183,7 +187,7 @@ STAGE_NAMES=(
   "AddressSanitizer+LeakSanitizer preset"
   "chaos storm campaign under TSan"
   "sharded-layer gate (TSan campaign + degenerate equivalence)"
-  "perfbench cells (avl-70-20-10-2m, snapshot-scan)"
+  "perfbench cells (avl-70-20-10-2m, avl-50-25-25-20k, snapshot-scan)"
 )
 RESULTS=()
 FAILED=0
@@ -204,7 +208,7 @@ for n in 1 2 3 4 5 6 7 8; do
       head -n 12 "$kept" >&2 || true
     fi
   fi
-  RESULTS+=("$(printf '%d/8  %-60s %5ds  %s' "$n" "${STAGE_NAMES[$n]}" \
+  RESULTS+=("$(printf '%d/8  %-68s %5ds  %s' "$n" "${STAGE_NAMES[$n]}" \
     "$((SECONDS - start))" "$verdict")")
 done
 

@@ -99,9 +99,9 @@ inline std::uint64_t tick_count() {
   return detail::state_cell().ticks.load(std::memory_order_relaxed);
 }
 
-/// Cross-thread contention odometer: the process-wide companion of the TLS
-/// heat score in lo/rebalance.hpp (ROADMAP item 2(c)). Fed by
-/// contention_heat_add(); the governor differentiates it per tick.
+/// Cross-thread contention odometer: the process-wide companion of the
+/// per-domain odometers (ROADMAP item 2(c)). Fed by lo/rebalance.hpp
+/// note_contention(); the governor differentiates it per tick.
 inline void note_contention() {
   auto& c = detail::state_cell().contention_events;
   c.fetch_add(1, std::memory_order_relaxed);

@@ -744,10 +744,6 @@ class LoCore {
     // Governor tick before the guard: a tick's flush must not be held
     // back by this thread's own pin (health/governor.hpp).
     health::maybe_sample_tick(*domain_);
-    // Contention heat is accounted to this map's domain for the duration
-    // of the write (ROADMAP 2(c)): a shard-private domain gets its own
-    // TLS heat slot, so heat built here never throttles another shard.
-    detail::HeatScope heat_scope(heat_scope_domain_());
     auto g = domain_->guard();
     inject::stall_point(inject::Site::kGuardStallWriter);
     const auto tc = obs::tls();
@@ -933,7 +929,7 @@ class LoCore {
       }
       // Failed attempt: either the interval moved under us or p no longer
       // sits below k at all (it was unlinked and the walk strayed).
-      detail::contention_heat_add();
+      detail::note_contention(*domain_);
       if (resumes++ < budget) {
         // Resume in place: p's chain pointers stay valid (EBR keeps the
         // node alive, removed nodes keep outgoing pointers), so the
@@ -959,7 +955,6 @@ class LoCore {
   bool erase(const K& k) {
     // Governor tick before the guard; see insert().
     health::maybe_sample_tick(*domain_);
-    detail::HeatScope heat_scope(heat_scope_domain_());  // see insert()
     auto g = domain_->guard();
     inject::stall_point(inject::Site::kGuardStallWriter);
     const auto tc = obs::tls();
@@ -1053,7 +1048,7 @@ class LoCore {
       }
       // Failed attempt: resume from the captured predecessor, or fall
       // back to a full re-descent once the budget runs out (see insert()).
-      detail::contention_heat_add();
+      detail::note_contention(*domain_);
       if (resumes++ < budget) {
         tc.add(obs::Counter::kLocateResumes);
         node = p;
@@ -1074,7 +1069,6 @@ class LoCore {
     requires(RemovalPolicy::kLogicalRemoving)
   {
     std::size_t purged = 0;
-    detail::HeatScope heat_scope(heat_scope_domain_());  // see insert()
     bool progress = true;
     while (progress) {
       progress = false;
@@ -1093,22 +1087,19 @@ class LoCore {
     return purged;
   }
 
-  /// Quiescent repair for the contention-adaptive rotation throttle
-  /// (lo/rebalance.hpp): rotations deferred while writers were hot leave
-  /// |balance factor| >= 2 nodes behind, and an abandoned climb (a
-  /// restart_balance mark-bail hands its pending height propagation to the
-  /// remover, whose own climb may legitimately stop early) can leave a
-  /// node whose *cached* heights say "balanced" while the true subtree
-  /// heights do not. The deferral widens that window — a deferred
-  /// imbalance, once rotated, shrinks its subtree by up to two levels in
-  /// one step — so this repair does not trust the caches: each pass first
-  /// re-derives every cached height bottom-up from the physical tree, then
-  /// chain-scans for |bf| >= 2 anchors (now computed from exact heights)
-  /// and re-runs the rebalance climb at each, until a fixpoint. Returns
-  /// how many anchors were repaired. Concurrent-safe, but exact heights
-  /// and strict AVL shape on return are only guaranteed with no writers
-  /// racing the repair — call it before lo::validate(check_heights=true)
-  /// after concurrent churn.
+  /// Quiescent repair of stale cached heights. A rebalance climb that
+  /// bails out on a marked node (restart_balance) hands its pending height
+  /// propagation to the remover, whose own climb may legitimately stop
+  /// early, so concurrent churn can leave a node whose *cached* heights
+  /// say "balanced" while the true subtree heights do not. This repair
+  /// therefore does not trust the caches: each pass first re-derives every
+  /// cached height bottom-up from the physical tree, then chain-scans for
+  /// |bf| >= 2 anchors (now computed from exact heights) and re-runs the
+  /// rebalance climb at each, until a fixpoint. Returns how many anchors
+  /// were repaired. Concurrent-safe, but exact heights and strict AVL
+  /// shape on return are only guaranteed with no writers racing the
+  /// repair — call it before lo::validate(check_heights=true) after
+  /// concurrent churn.
   std::size_t repair_balance()
     requires(Balanced)
   {
@@ -1116,11 +1107,6 @@ class LoCore {
     bool progress = true;
     while (progress) {
       progress = false;
-      // The repairing thread may itself still be hot from the churn that
-      // caused the deferrals; a throttled repair would defer its own
-      // repairs and never converge.
-      detail::HeatScope heat_scope(heat_scope_domain_());  // see insert()
-      detail::reset_contention_heat();
       auto g = domain_->guard();
       recompute_heights();
       NodeT* node = neg_->succ.load(std::memory_order_acquire);
@@ -1128,7 +1114,7 @@ class LoCore {
         NodeT* next = node->succ.load(std::memory_order_acquire);
         if (!node->mark.load(std::memory_order_acquire) &&
             std::abs(node->balance_factor()) >= 2) {
-          detail::rebalance_at(root_, node);
+          detail::rebalance_at(*domain_, root_, node);
           ++repaired;
           progress = true;
         }
@@ -1149,15 +1135,6 @@ class LoCore {
   Compare key_comp() const { return comp_; }
 
  private:
-  /// The heat scope this map's writes install (lo/rebalance.hpp): null for
-  /// maps on the global domain, so the single-map common case keeps using
-  /// the default TLS slot — bit-identical to the pre-scoping behaviour and
-  /// to what the scope-free test hooks manipulate.
-  reclaim::EbrDomain* heat_scope_domain_() const {
-    return domain_ == &reclaim::EbrDomain::global_domain() ? nullptr
-                                                           : domain_;
-  }
-
   /// Height of the subtree rooted at n, by its own cached values.
   static std::int32_t cached_height(const NodeT* n) {
     return std::max(n->left_height.load(std::memory_order_relaxed),
@@ -1166,7 +1143,8 @@ class LoCore {
   }
 
   /// repair_balance pass 1: re-derive every cached subtree height from the
-  /// physical tree, bottom-up (iterative post-order, explicit stack). At
+  /// physical tree, bottom-up (iterative post-order, explicit stack), so
+  /// the heights an abandoned climb left stale are exact again. At
   /// quiescence the result is exact by construction; racing writers can
   /// re-stale individual links, which the repair contract already scopes
   /// out. Heights are performance metadata only — no search or removal
@@ -1620,7 +1598,7 @@ class LoCore {
       }
       NodeT* grandparent = detail::lock_parent(parent);
       detail::rebalance(
-          root_, grandparent, parent,
+          *domain_, root_, grandparent, parent,
           grandparent->left.load(std::memory_order_relaxed) == parent);
     } else {
       parent->tree_lock.unlock();
@@ -1653,7 +1631,7 @@ class LoCore {
     for (;;) {
       if (!first) {
         obs::count(obs::Counter::kRemovalLockRetries);
-        detail::contention_heat_add();
+        detail::note_contention(*domain_);
       }
       first = false;
       backoff.pause();
@@ -1742,7 +1720,7 @@ class LoCore {
     detail::update_child(np, n, child);
     n->tree_lock.unlock();
     if constexpr (Balanced) {
-      detail::rebalance(root_, np, child, was_left);
+      detail::rebalance(*domain_, root_, np, child, was_left);
     } else {
       if (child != nullptr) child->tree_lock.unlock();
       np->tree_lock.unlock();
@@ -1790,10 +1768,10 @@ class LoCore {
     np->tree_lock.unlock();
     n->tree_lock.unlock();
     if constexpr (Balanced) {
-      detail::rebalance(root_, rb_node, child, rb_was_left);
+      detail::rebalance(*domain_, root_, rb_node, child, rb_was_left);
       // Remover's obligation (§4.5): if a concurrent rebalance bailed out
       // on n's mark, the imbalance migrated to s — fix it here.
-      detail::rebalance_at(root_, s);
+      detail::rebalance_at(*domain_, root_, s);
     } else {
       if (child != nullptr) child->tree_lock.unlock();
       rb_node->tree_lock.unlock();

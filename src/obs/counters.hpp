@@ -71,7 +71,6 @@ enum class Counter : std::uint16_t {
   kInsertRevives,     // inserts reviving a zombie in place (LR)
   kPurgeAttempts,     // try_purge attempts that reached the lock phase
   kPurgeSuccesses,    // ... that physically removed the zombie
-  kRotationsDeferred, // rebalance climbs that skipped rotations (throttle hot)
 
   // -- MVCC snapshot machinery (DESIGN.md §16) ---------------------------
   kSnapshotAcquires,  // snapshot() epoch draws (no descent of their own)
@@ -112,7 +111,6 @@ constexpr const char* counter_name(Counter c) {
     case Counter::kInsertRevives:      return "insert_revives";
     case Counter::kPurgeAttempts:      return "purge_attempts";
     case Counter::kPurgeSuccesses:     return "purge_successes";
-    case Counter::kRotationsDeferred:  return "rotations_deferred";
     case Counter::kSnapshotAcquires:   return "snapshot_acquires";
     case Counter::kVersionsRetired:    return "versions_retired";
     case Counter::kVersionChainWalks:  return "version_chain_walks";

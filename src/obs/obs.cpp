@@ -55,7 +55,6 @@ Snapshot Registry::snapshot(const reclaim::EbrDomain* domain) const {
     row.pending_retired = st.pending_retired;
     row.backlog_peak = st.backlog_peak;
     row.contention_events = st.contention_events;
-    row.rotations_deferred = st.rotations_deferred;
     row.stalled_now = st.stalled_now;
     s.domains.push_back(row);
   });
@@ -112,10 +111,9 @@ std::string Snapshot::to_text() const {
   for (const DomainRow& d : domains) {
     appendf(out, "    domain[%" PRIu64 "]: epoch=%" PRIu64 " lag=%" PRIu64
                  " pending=%zu backlog_peak=%zu heat=%" PRIu64
-                 " rot_deferred=%" PRIu64 " stalled=%s\n",
+                 " stalled=%s\n",
             d.uid, d.epoch, d.epoch_lag, d.pending_retired, d.backlog_peak,
-            d.contention_events, d.rotations_deferred,
-            d.stalled_now ? "true" : "false");
+            d.contention_events, d.stalled_now ? "true" : "false");
   }
   appendf(out, "  health=%s transitions=%" PRIu64 " ticks=%" PRIu64
                " contention_events=%" PRIu64 "\n",
@@ -202,10 +200,10 @@ std::string Snapshot::to_json() const {
             "%s{\"uid\": %" PRIu64 ", \"epoch\": %" PRIu64
             ", \"epoch_lag\": %" PRIu64 ", \"pending_retired\": %zu"
             ", \"backlog_peak\": %zu, \"contention_events\": %" PRIu64
-            ", \"rotations_deferred\": %" PRIu64 ", \"stalled_now\": %s}",
+            ", \"stalled_now\": %s}",
             i == 0 ? "" : ", ", d.uid, d.epoch, d.epoch_lag,
             d.pending_retired, d.backlog_peak, d.contention_events,
-            d.rotations_deferred, d.stalled_now ? "true" : "false");
+            d.stalled_now ? "true" : "false");
   }
   out += "]\n}\n";
   return out;

@@ -39,7 +39,6 @@ struct Snapshot {
     std::size_t pending_retired = 0;
     std::size_t backlog_peak = 0;
     std::uint64_t contention_events = 0;
-    std::uint64_t rotations_deferred = 0;
     bool stalled_now = false;
   };
 

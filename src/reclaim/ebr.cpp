@@ -508,7 +508,6 @@ EbrDomain::Stats EbrDomain::stats() const {
   s.stalled_epoch = stalled_epoch_.load(std::memory_order_relaxed);
   s.stalled_owner = stalled_owner_.load(std::memory_order_relaxed);
   s.contention_events = contention_events_.load(std::memory_order_relaxed);
-  s.rotations_deferred = rotations_deferred_.load(std::memory_order_relaxed);
   s.pool = PoolStats::snapshot();
   return s;
 }

@@ -108,22 +108,16 @@ class EbrDomain {
   /// 1 and never repeat, even if a new domain reuses this address).
   std::uint64_t uid() const { return uid_; }
 
-  /// Shard-scoped contention odometers (ROADMAP 2(c)). The write paths'
-  /// heat accounting (lo/rebalance.hpp) attributes contention events and
-  /// deferred rotations to the domain the structure retires through, so a
-  /// hot shard's pressure is visible per shard instead of dissolving into
-  /// one process-wide number. Relaxed: these are monotonic telemetry.
+  /// Shard-scoped contention odometer (ROADMAP 2(c)). The write paths
+  /// (lo/rebalance.hpp note_contention) attribute contention events to the
+  /// domain the structure retires through, so a hot shard's pressure is
+  /// visible per shard instead of dissolving into one process-wide number.
+  /// Relaxed: this is monotonic telemetry.
   void note_contention_event() {
     contention_events_.fetch_add(1, std::memory_order_relaxed);
   }
-  void note_rotation_deferred() {
-    rotations_deferred_.fetch_add(1, std::memory_order_relaxed);
-  }
   std::uint64_t contention_events() const {
     return contention_events_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t rotations_deferred() const {
-    return rotations_deferred_.load(std::memory_order_relaxed);
   }
 
   class Guard;
@@ -230,11 +224,9 @@ class EbrDomain {
     std::uint64_t backlog_steals = 0;     // entries adopted by flush()
     std::uint64_t emergency_leaks = 0;    // OOM'd retire bookkeeping
     std::uint64_t stall_watchdog_fires = 0;
-    /// Shard-scoped contention odometers (note_contention_event /
-    /// note_rotation_deferred) — per-domain views of what the obs-layer
-    /// counters report process-wide.
+    /// Shard-scoped contention odometer (note_contention_event) — the
+    /// per-domain view of the governor's process-wide odometer.
     std::uint64_t contention_events = 0;
-    std::uint64_t rotations_deferred = 0;
     bool stalled_now = false;
     std::size_t stalled_record = static_cast<std::size_t>(-1);
     std::uint64_t stalled_epoch = 0;  // the epoch the straggler pins
@@ -360,7 +352,6 @@ class EbrDomain {
   std::atomic<std::uint64_t> stalled_epoch_{0};
   std::atomic<std::uint64_t> stalled_owner_{0};
   std::atomic<std::uint64_t> contention_events_{0};
-  std::atomic<std::uint64_t> rotations_deferred_{0};
 
   friend class Guard;
   friend struct TlsCache;

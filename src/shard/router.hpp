@@ -16,7 +16,7 @@
 //    straddles a block edge, instead of all N;
 //    and a zipfian point-op workload concentrates its hottest ranks
 //    (0..2^kBlockShift-1) in a single shard — which is exactly the
-//    hot-shard scenario the per-shard EBR/heat isolation is built for,
+//    hot-shard scenario the per-shard EBR isolation is built for,
 //    and what bench/ablation_shard.cpp measures.
 //
 // Correctness never depends on the assignment: every shard's cursor is

@@ -5,10 +5,9 @@
 //
 //  * a private EbrDomain — one shard's stalled reader or retire backlog
 //    pins that shard's epoch only; the other shards keep reclaiming.
-//    Writers' contention heat is scoped to the shard's domain too
-//    (lo/rebalance.hpp HeatScope), so a hot shard sheds its own rotations
-//    without throttling cold shards — ROADMAP 2(c) closed at shard
-//    granularity;
+//    Writers' contention events are counted on the shard's domain too
+//    (lo/rebalance.hpp note_contention), so a hot shard shows up in its
+//    own domain's odometer;
 //  * a private SizePool (when the inner map's Alloc is pool-backed) —
 //    remote-free traffic and slab growth stay shard-local instead of all
 //    shards fighting over the per-type pool_for<T>() singleton's caches.
@@ -368,8 +367,9 @@ class ShardedMap {
     return n;
   }
 
-  /// Quiescent-only, like the inner maps' (DESIGN.md §13): converge every
-  /// shard's throttle-deferred rotations. Total repairs across shards.
+  /// Quiescent-only, like the inner maps' (DESIGN.md §13): repair every
+  /// shard's stale heights left by abandoned climbs. Total repairs across
+  /// shards.
   std::size_t repair_balance()
     requires(MapT::kBalanced)
   {

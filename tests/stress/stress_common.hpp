@@ -261,9 +261,9 @@ StressOutcome<typename MapT::key_type> run_perturbed_stress(
           phase_start = std::chrono::steady_clock::now();
           if (p.validate_structure) {
             if constexpr (MapT::kBalanced) {
-              // The rotation throttle may have deferred repairs during the
-              // contended phase; strict-balance validation is a statement
-              // about quiescence, so converge first (DESIGN.md §13).
+              // Climbs abandoned during the contended phase may have left
+              // stale heights; strict-balance validation is a statement
+              // about quiescence, so repair first (DESIGN.md §13).
               if (p.check_heights) map.repair_balance();
             }
             const auto rep = lo::validate(map, p.check_heights, p.partial);

@@ -129,8 +129,8 @@ void run_fault_campaign(const FaultParams& p) {
           barrier.arrive_and_wait();  // (2) quiescent: validate
           if (t == 0) {
             if constexpr (MapT::kBalanced) {
-              // Converge any rotations the contention throttle deferred
-              // before asserting the strict AVL bound (DESIGN.md §13).
+              // Repair the heights abandoned climbs left stale before
+              // asserting the strict AVL bound (DESIGN.md §13).
               if (p.check_heights) map.repair_balance();
             }
             const auto rep =

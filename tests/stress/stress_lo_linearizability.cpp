@@ -227,7 +227,7 @@ TEST(DriverCapture, RecordedScanTrialHistoryIsLinearizable) {
   EXPECT_GT(lot::check::perturb_hits(lot::check::PerturbPoint::kRangeStep),
             0u);
 
-  map.repair_balance();  // converge throttle-deferred rotations (quiescent)
+  map.repair_balance();  // repair heights stale from abandoned climbs
   const auto rep = lot::lo::validate(map, /*check_heights=*/true);
   EXPECT_TRUE(rep.ok) << rep.to_string();
 }

@@ -4,7 +4,7 @@
 // validation (per shard, shard/validate.hpp), full history through the
 // checker — but driven through ShardedMap, so every operation crosses the
 // router and the ordered ops cross the k-way merge, while reclamation and
-// contention heat land in per-shard private domains.
+// contention events land in per-shard private domains.
 //
 // Also here: the shards=1 degenerate run (the acceptance criterion that
 // the scale-out layer is free when unused — the existing campaign shape

@@ -119,7 +119,7 @@ TEST(GenericTypes, StringKeysConcurrent) {
     });
   }
   for (auto& th : threads) th.join();
-  m.repair_balance();  // converge throttle-deferred rotations (quiescent)
+  m.repair_balance();  // repair heights stale from abandoned climbs
   const auto rep = lot::lo::validate(m, true);
   EXPECT_TRUE(rep.ok) << rep.to_string();
   std::string last;

@@ -44,8 +44,8 @@ class LoConcurrentTest : public ::testing::Test {
   static constexpr bool kBalanced = std::is_same_v<MapT, AvlMap<K, V>>;
 
   void expect_valid(MapT& m) {
-    // Strict-height validation asserts the quiescent AVL bound; converge
-    // any rotations the contention throttle deferred first (DESIGN.md §13).
+    // Strict-height validation asserts the quiescent AVL bound; repair the
+    // stale heights abandoned climbs leave behind first (DESIGN.md §13).
     if constexpr (kBalanced) m.repair_balance();
     const auto rep = lot::lo::validate(m, kBalanced);
     EXPECT_TRUE(rep.ok) << rep.to_string();
@@ -357,10 +357,38 @@ TEST(LoAvlConcurrent, QuiescentStrictBalanceAfterParallelChurn) {
     });
   }
   for (auto& th : threads) th.join();
-  m.repair_balance();  // converge throttle-deferred rotations (quiescent)
+  m.repair_balance();  // repair heights stale from abandoned climbs
   const auto rep = lot::lo::validate(m, /*check_heights=*/true);
   ASSERT_TRUE(rep.ok) << rep.to_string();
   EXPECT_GT(rep.chain_nodes, 0u);
+}
+
+// The repair_balance contract (lo/core.hpp): churn over a small key range
+// makes climbs collide and bail on marked nodes; one quiescent repair pass
+// restores the strict AVL bound, and it is a fixpoint — a second pass
+// finds nothing left to do.
+TEST(LoAvlConcurrent, QuiescentConvergenceAfterContendedChurn) {
+  AvlMap<K, V> m;
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(911 + t);
+      for (int i = 0; i < scaled(30'000); ++i) {
+        const K k = static_cast<K>(rng.next_below(2'048));
+        if (rng.percent(55)) {
+          m.insert(k, k);
+        } else {
+          m.erase(k);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  m.repair_balance();
+  const auto rep = lot::lo::validate(m, /*check_heights=*/true);
+  EXPECT_TRUE(rep.ok) << rep.to_string();
+  EXPECT_EQ(m.repair_balance(), 0u);
 }
 
 // Memory-reclamation integration: churn a dedicated domain hard, then

@@ -492,7 +492,7 @@ TYPED_TEST(OrderedApiTest, ScanRacesOpportunisticPurge) {
     m.purge_all();
 
     if constexpr (TypeParam::kBalanced) {
-      m.repair_balance();  // converge throttle-deferred rotations
+      m.repair_balance();  // repair heights stale from abandoned climbs
     }
     const auto rep = lot::lo::validate(m, TypeParam::kBalanced,
                                        /*partial=*/true);

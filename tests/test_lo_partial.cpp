@@ -30,8 +30,8 @@ class LoPartialTest : public ::testing::Test {
   static constexpr bool kBalanced = std::is_same_v<MapT, PartialAvlMap<K, V>>;
 
   void expect_valid(MapT& m) {
-    // Strict-height validation asserts the quiescent AVL bound; converge
-    // any rotations the contention throttle deferred first (DESIGN.md §13).
+    // Strict-height validation asserts the quiescent AVL bound; repair the
+    // stale heights abandoned climbs leave behind first (DESIGN.md §13).
     if constexpr (kBalanced) m.repair_balance();
     const auto rep = lot::lo::validate(m, kBalanced, /*partial=*/true);
     EXPECT_TRUE(rep.ok) << rep.to_string();
@@ -325,7 +325,7 @@ TEST(LoPartialAvl, QuiescentBalanceAfterChurn) {
     });
   }
   for (auto& th : threads) th.join();
-  m.repair_balance();  // converge throttle-deferred rotations (quiescent)
+  m.repair_balance();  // repair heights stale from abandoned climbs
   const auto rep = lot::lo::validate(m, true, true);
   ASSERT_TRUE(rep.ok) << rep.to_string();
   m.purge_all();

@@ -90,8 +90,8 @@ void run_disjoint_property(const Param& param, bool balanced,
         << "P3: final contents mismatch";
 
     if constexpr (MapT::kBalanced) {
-      // Converge throttle-deferred rotations before asserting the strict
-      // AVL bound — P1/P2 are statements about quiescence.
+      // Repair the heights abandoned climbs left stale before asserting
+      // the strict AVL bound — P1/P2 are statements about quiescence.
       if (balanced) m.repair_balance();
     }
     const auto rep = lot::lo::validate(m, balanced, partial);

@@ -59,7 +59,7 @@ TYPED_TEST(ScenarioTest, Figure1RelocationNeverHidesTheSuccessor) {
   EXPECT_EQ(misses.load(), 0u)
       << "contains(7) observed the Figure-1 lost-node anomaly";
   if constexpr (std::is_same_v<TypeParam, AvlMap<K, V>>) {
-    m.repair_balance();  // converge throttle-deferred rotations (quiescent)
+    m.repair_balance();  // repair heights stale from abandoned climbs
   }
   const auto rep = lot::lo::validate(
       m, std::is_same_v<TypeParam, AvlMap<K, V>>);
@@ -164,7 +164,7 @@ TYPED_TEST(ScenarioTest, OnTimeDeletionAllowsImmediateReinsert) {
   EXPECT_FALSE(bad.load());
   EXPECT_EQ(m.size_slow(), 0u);
   if constexpr (std::is_same_v<TypeParam, AvlMap<K, V>>) {
-    m.repair_balance();  // converge throttle-deferred rotations (quiescent)
+    m.repair_balance();  // repair heights stale from abandoned climbs
   }
   const auto rep = lot::lo::validate(
       m, std::is_same_v<TypeParam, AvlMap<K, V>>);
@@ -214,7 +214,7 @@ TYPED_TEST(ScenarioTest, NoDeadlockUnderAdjacentKeyContention) {
   }
   for (auto& th : threads) th.join();
   if constexpr (std::is_same_v<TypeParam, AvlMap<K, V>>) {
-    m.repair_balance();  // converge throttle-deferred rotations (quiescent)
+    m.repair_balance();  // repair heights stale from abandoned climbs
   }
   const auto rep = lot::lo::validate(
       m, std::is_same_v<TypeParam, AvlMap<K, V>>);

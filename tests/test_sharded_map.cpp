@@ -12,7 +12,8 @@
 //  * per-shard reclamation universes: private EbrDomain + private pool
 //    per shard, rows visible in obs snapshots, and allocation accounting
 //    balancing to zero at teardown (the ASan/LSan build turns any missed
-//    node into a hard failure).
+//    node into a hard failure), and contention events counted on the
+//    domain of the shard they happened in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "adapters/map_concept.hpp"
+#include "health/governor.hpp"
 #include "lo/avl.hpp"
 #include "lo/bst.hpp"
 #include "lo/partial.hpp"
@@ -447,7 +449,7 @@ TYPED_TEST(ShardedMapTest, ConcurrentChurnValidatesPerShard) {
   }
   for (auto& w : workers) w.join();
   // Quiescent: every shard must be a structurally valid tree (strict AVL
-  // balance after converging throttle-deferred repairs).
+  // balance after repairing heights stale from abandoned climbs).
   if constexpr (TypeParam::kBalanced) m.repair_balance();
   const auto rep = lot::lo::validate(m, TypeParam::kBalanced,
                                      TypeParam::kLogicalRemoving);
@@ -543,6 +545,52 @@ TEST(ShardedMapConcurrent, MergedScanStaysSortedUnderChurn) {
   }
   stop.store(true);
   for (auto& w : writers) w.join();
+}
+
+// Contention attribution: every contention event a shard's writers hit
+// (failed validation, removal-lock retry, rebalance restart) is counted
+// once on the governor's process-wide odometer and once on the domain of
+// the shard it happened in, never on the global domain.
+TEST(ShardedMapConcurrent, ContentionEventsLandInShardDomains) {
+  using MapT = ShardedMap<AvlMap<K, V>, 4>;
+  MapT m;
+  auto& global = lot::reclaim::EbrDomain::global_domain();
+  std::uint64_t shard0[MapT::shard_count()];
+  for (unsigned i = 0; i < MapT::shard_count(); ++i) {
+    shard0[i] = m.shard_domain(i).contention_events();
+  }
+  const std::uint64_t global0 = global.contention_events();
+  const std::uint64_t process0 = lot::health::contention_events();
+
+  // 64 hot keys, 16 in each shard's first block.
+  for (int round = 0;
+       round < 50 && lot::health::contention_events() == process0; ++round) {
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < 4; ++t) {
+      workers.emplace_back([&m, t, round] {
+        Xoshiro256 rng(0xC0DE + 16 * round + t);
+        for (int i = 0; i < 2000; ++i) {
+          const K k = static_cast<K>(rng.next_below(4) * 64 +
+                                     rng.next_below(16));
+          if (rng.percent(50)) {
+            m.insert(k, k);
+          } else {
+            m.erase(k);
+          }
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+
+  const std::uint64_t process = lot::health::contention_events() - process0;
+  ASSERT_GT(process, 0u) << "no contention in 50 rounds; nothing to attribute";
+  std::uint64_t shards = 0;
+  for (unsigned i = 0; i < MapT::shard_count(); ++i) {
+    shards += m.shard_domain(i).contention_events() - shard0[i];
+  }
+  EXPECT_EQ(shards, process);
+  EXPECT_EQ(global.contention_events(), global0);
 }
 
 }  // namespace
