@@ -130,7 +130,8 @@ class CfTreeMap {
   template <typename F>
   void for_each(F&& fn) const {
     auto g = domain_->guard();
-    visit(root(), fn);
+    const K* last = nullptr;
+    visit(root(), fn, last);
   }
 
   /// Ordered scan over [lo, hi). The raw in-order sweep carries no
@@ -360,13 +361,22 @@ class CfTreeMap {
 
   // ---- bulk reads ------------------------------------------------------
 
+  /// In-order sweep. A rotation that runs under the sweep can show it a
+  /// key twice: once through the clone and once through the original the
+  /// sweep is parked on, which keeps its outgoing pointers. `last` is the
+  /// greatest key swept so far, and only keys above it are visited, so a
+  /// sweep with no concurrent client update sees each key exactly once
+  /// even while the maintenance thread rotates.
   template <typename F>
-  static void visit(const Node* n, F& fn) {
+  void visit(const Node* n, F& fn, const K*& last) const {
     if (n == nullptr) return;
-    visit(n->left.load(std::memory_order_acquire), fn);
-    const V v = n->value.load(std::memory_order_acquire);
-    if (!n->deleted.load(std::memory_order_acquire)) fn(n->key, v);
-    visit(n->right.load(std::memory_order_acquire), fn);
+    visit(n->left.load(std::memory_order_acquire), fn, last);
+    if (last == nullptr || comp_(*last, n->key)) {
+      last = &n->key;
+      const V v = n->value.load(std::memory_order_acquire);
+      if (!n->deleted.load(std::memory_order_acquire)) fn(n->key, v);
+    }
+    visit(n->right.load(std::memory_order_acquire), fn, last);
   }
 
   static bool visit_until(const Node* n, bool left,

@@ -9,8 +9,16 @@
 // all operations are lock-free.
 //
 // Reclamation: the operation's *originator* (whose flag CAS committed the
-// operation exactly once) retires the unlinked nodes and the Info record;
-// helpers may still dereference them under their EBR guards.
+// operation exactly once) retires the unlinked nodes; helpers may still
+// dereference them under their EBR guards. An Info record is retired only
+// once no live node's `update` word names it: a finished operation leaves
+// its record in the word with state CLEAN, and that value is what the next
+// flag or mark CAS on the node expects. Freeing the record while the word
+// still names it would let a new record reuse the address, the word would
+// return to a value a stalled thread read before, and that thread's flag
+// CAS would succeed on a stale view (an ABA that loses an insert). So the
+// thread whose CAS moves a word off CLEAN(record) retires the record, and
+// the destructor frees the records still named by live nodes.
 #pragma once
 
 #include <atomic>
@@ -75,17 +83,22 @@ class EfrbMap {
         continue;
       }
       Node* new_leaf = reclaim::make_counted<Node>(k, v, SentTag::kNone, true);
-      // New internal routes between the old leaf and the new one; the old
-      // leaf is reused as a child (EFRB reuses, no copy).
-      const bool new_goes_left = node_less(new_leaf, sr.l);
+      // New internal routes between a *copy* of the old leaf and the new
+      // one, as in EFRB. Reusing the old leaf would let the parent's child
+      // slot return to it (once the new leaf is deleted, its sibling moves
+      // back up), and a stalled helper's child CAS for this insert would
+      // then succeed a second time and re-link the removed internal node.
+      Node* new_sibling =
+          reclaim::make_counted<Node>(sr.l->key, sr.l->value, sr.l->tag, true);
+      const bool new_goes_left = node_less(new_leaf, new_sibling);
       Node* new_internal = reclaim::make_counted<Node>(
           K{}, V{}, SentTag::kNone, false);
       // Routing key = the larger of the two.
-      const Node* bigger = new_goes_left ? sr.l : new_leaf;
+      const Node* bigger = new_goes_left ? new_sibling : new_leaf;
       new_internal->set_routing_key(*bigger);
-      new_internal->left.store(new_goes_left ? new_leaf : sr.l,
+      new_internal->left.store(new_goes_left ? new_leaf : new_sibling,
                                std::memory_order_relaxed);
-      new_internal->right.store(new_goes_left ? sr.l : new_leaf,
+      new_internal->right.store(new_goes_left ? new_sibling : new_leaf,
                                 std::memory_order_relaxed);
       Info* op = reclaim::make_counted<Info>();
       op->type = Info::kInsert;
@@ -96,11 +109,13 @@ class EfrbMap {
       if (sr.p->update.compare_exchange_strong(
               expected, pack(op, State::kIFlag),
               std::memory_order_acq_rel)) {
+        retire_info(sr.pupdate);  // the word no longer names it
         help_insert(op);
-        domain_->retire(op);  // committed exactly once: originator retires
+        domain_->retire(sr.l);  // replaced by its copy; unreachable now
         return true;
       }
       reclaim::delete_counted(new_leaf);      // never published
+      reclaim::delete_counted(new_sibling);   // never published
       reclaim::delete_counted(new_internal);  // never published
       reclaim::delete_counted(op);
       help(sr.p->update.load(std::memory_order_acquire));
@@ -130,15 +145,15 @@ class EfrbMap {
       if (sr.gp->update.compare_exchange_strong(
               expected, pack(op, State::kDFlag),
               std::memory_order_acq_rel)) {
+        retire_info(sr.gpupdate);  // the word no longer names it
         if (help_delete(op)) {
-          // Unlinked: p and l left the tree; retire them + the record.
+          // Unlinked: p and l left the tree. The record stays named by
+          // gp's update word (retired when that word moves on).
           domain_->retire(sr.p);
           domain_->retire(sr.l);
-          domain_->retire(op);
           return true;
         }
-        domain_->retire(op);  // backtracked; helpers may still hold refs
-        continue;
+        continue;  // backtracked
       }
       reclaim::delete_counted(op);  // flag CAS failed: never published
       help(sr.gp->update.load(std::memory_order_acquire));
@@ -278,6 +293,12 @@ class EfrbMap {
     return static_cast<State>(w & 3);
   }
 
+  /// Retires the record a successful CAS just displaced from a CLEAN
+  /// update word (see the header comment); the initial word names none.
+  void retire_info(std::uintptr_t clean_word) {
+    if (Info* old = info_of(clean_word)) domain_->retire(old);
+  }
+
   // key-vs-node comparison with sentinel handling: every real key is
   // smaller than inf1 < inf2.
   bool key_less_node(const K& k, const Node* n) const {
@@ -354,8 +375,12 @@ class EfrbMap {
     std::uintptr_t expected = op->pupdate;
     const std::uintptr_t marked = pack(op, State::kMark);
     if (op->parent->update.compare_exchange_strong(
-            expected, marked, std::memory_order_acq_rel) ||
-        expected == marked) {
+            expected, marked, std::memory_order_acq_rel)) {
+      retire_info(op->pupdate);  // the word no longer names it
+      help_marked(op);
+      return true;
+    }
+    if (expected == marked) {
       help_marked(op);
       return true;
     }
@@ -414,6 +439,10 @@ class EfrbMap {
     if (!n->is_leaf) {
       destroy(n->left.load(std::memory_order_relaxed));
       destroy(n->right.load(std::memory_order_relaxed));
+      // Quiescent: the word is CLEAN and its record is named nowhere else.
+      if (Info* info = info_of(n->update.load(std::memory_order_relaxed))) {
+        reclaim::delete_counted(info);
+      }
     }
     reclaim::delete_counted(n);
   }

@@ -19,17 +19,31 @@
 //    single load and the relocation's key swap is one idempotent CAS;
 //  * operation records and relocation-displaced payloads are reclaimed
 //    through EBR (retired by the unique thread that completed the step);
-//  * NODES, however, are only reclaimed when the tree is destroyed. The
-//    helping protocol admits a resurrection ABA that defeats grace-period
-//    reclamation: a helper of an insert's ChildCAS record can stall, the
-//    inserted node can meanwhile be deleted and spliced (the child slot
-//    returns to null), and the stalled helper's CAS then re-links the
-//    node. Under GC this is benign (the node is marked and gets spliced
-//    again); with epoch reclamation the re-linked node could be freed
-//    while reachable. Deferring node frees to the destructor (an
-//    intrusive allocation list) removes the hazard; memory then grows
-//    with the number of removals over the tree's lifetime — which is
-//    itself an instructive data point for the paper's reclamation story.
+//  * a finished operation leaves a fresh *clean stamp* in the op word —
+//    the previous clean stamp plus one step, flag NONE — where the
+//    original leaves FLAG(record, NONE). The op word is the expected value
+//    of the next CAS on the node, so it must never repeat; with records
+//    reclaimed, FLAG(record, NONE) would repeat as soon as a new record
+//    reused a freed address, and a stalled insert or removal would then
+//    commit on a stale view (an insert reported as done but never linked).
+//    Stamps grow by one step per operation on the node, so they never
+//    repeat. Once an operation is done only the terminal MARK of a
+//    relocated successor still names its record, and MARK words are never
+//    dereferenced;
+//  * an empty child slot is not always null: a splice that empties a slot
+//    writes an *empty mark* naming the spliced node (its address with the
+//    low bit set). In the original every empty slot is null, so a slot
+//    returns to a value it held before once an inserted node is spliced
+//    again. A helper of the insert's ChildCAS that stalled before its
+//    child CAS then re-links the spliced node, and an insert that read the
+//    slot as null before that commits its ChildCAS, whose child CAS then
+//    fails — the insert is reported done but never linked. Nodes are
+//    spliced once, so empty marks never repeat within a slot;
+//  * NODES are only reclaimed when the tree is destroyed (an intrusive
+//    allocation list), which is what keeps empty marks and node pointers
+//    unique for the tree's lifetime. Memory then grows with the number of
+//    removals over the tree's lifetime — which is itself an instructive
+//    data point for the paper's reclamation story.
 #pragma once
 
 #include <atomic>
@@ -104,15 +118,17 @@ class HjTreeMap {
       SearchResult sr;
       const FindResult res = find(k, root_, sr);
       if (res == FindResult::kFound) return false;
-      auto* payload = reclaim::make_counted<Payload>(k, v, false);
-      Node* nn = make_tracked_node(payload);
       const bool is_left = (res == FindResult::kNotFoundLeft);
       Node* old = is_left ? sr.curr->left.load(std::memory_order_acquire)
                           : sr.curr->right.load(std::memory_order_acquire);
+      if (!is_empty(old)) continue;  // filled since find; look again
+      auto* payload = reclaim::make_counted<Payload>(k, v, false);
+      Node* nn = make_tracked_node(payload);
       auto* cas_op = reclaim::make_counted<ChildCasOp>();
       cas_op->is_left = is_left;
       cas_op->expected = old;
       cas_op->update = nn;
+      cas_op->done = next_clean(sr.curr_op);
       std::uintptr_t expected = sr.curr_op;
       if (sr.curr->op.compare_exchange_strong(
               expected, flag(cas_op, kChildCas),
@@ -135,7 +151,7 @@ class HjTreeMap {
       Node* curr = sr.curr;
       Node* right = curr->right.load(std::memory_order_acquire);
       Node* left = curr->left.load(std::memory_order_acquire);
-      if (right == nullptr || left == nullptr) {
+      if (is_empty(right) || is_empty(left)) {
         // At most one child: mark, then splice out.
         std::uintptr_t expected = sr.curr_op;
         if (curr->op.compare_exchange_strong(expected,
@@ -162,6 +178,8 @@ class HjTreeMap {
       auto* op = reclaim::make_counted<RelocateOp>();
       op->dest = curr;
       op->dest_op = sr.curr_op;
+      op->dest_done = next_clean(sr.curr_op);
+      op->succ_done = next_clean(ssr.curr_op);
       op->old_payload = old_payload;
       op->new_payload = reclaim::make_counted<Payload>(
           repl_payload->key, repl_payload->value, false);
@@ -242,7 +260,7 @@ class HjTreeMap {
   void debug_visit_raw(F&& fn) const {
     auto g = domain_->guard();
     const std::function<void(const Node*)> rec = [&](const Node* n) {
-      if (n == nullptr) return;
+      if (is_empty(n)) return;
       rec(n->left.load(std::memory_order_acquire));
       const Payload* p = n->payload.load(std::memory_order_acquire);
       fn(p->key, flag_of(n->op.load(std::memory_order_acquire)),
@@ -267,7 +285,7 @@ class HjTreeMap {
 
   struct Node {
     std::atomic<const Payload*> payload;
-    std::atomic<std::uintptr_t> op{0};  // record pointer | flag bits
+    std::atomic<std::uintptr_t> op{0};  // record pointer | flag, or clean stamp
     std::atomic<Node*> left{nullptr};
     std::atomic<Node*> right{nullptr};
     Node* next_alloc = nullptr;  // intrusive allocation list (destructor)
@@ -278,6 +296,7 @@ class HjTreeMap {
     bool is_left = false;
     Node* expected = nullptr;
     Node* update = nullptr;
+    std::uintptr_t done = 0;  // the node's clean stamp once finished
   };
 
   struct RelocateOp {
@@ -285,6 +304,8 @@ class HjTreeMap {
     std::atomic<int> state{kOngoing};
     Node* dest = nullptr;
     std::uintptr_t dest_op = 0;
+    std::uintptr_t dest_done = 0;  // dest's clean stamp once finished
+    std::uintptr_t succ_done = 0;  // the successor's, if the op fails
     const Payload* old_payload = nullptr;
     const Payload* new_payload = nullptr;
   };
@@ -298,9 +319,21 @@ class HjTreeMap {
     return reinterpret_cast<std::uintptr_t>(p) | f;
   }
   static std::uintptr_t flag_of(std::uintptr_t w) { return w & 3; }
+  /// The clean stamp that follows `clean` once an operation published over
+  /// it finishes (see the header comment).
+  static std::uintptr_t next_clean(std::uintptr_t clean) { return clean + 4; }
   template <typename T>
   static T* ptr_of(std::uintptr_t w) {
     return reinterpret_cast<T*>(w & ~std::uintptr_t{3});
+  }
+
+  /// Child-slot values: null (never filled), a node, or an empty mark.
+  static bool is_empty(const Node* n) {
+    return n == nullptr || (reinterpret_cast<std::uintptr_t>(n) & 1) != 0;
+  }
+  static Node* empty_mark(const Node* spliced) {
+    return reinterpret_cast<Node*>(reinterpret_cast<std::uintptr_t>(spliced) |
+                                   1);
   }
 
   enum class FindResult { kFound, kNotFoundLeft, kNotFoundRight, kAbort };
@@ -347,7 +380,7 @@ class HjTreeMap {
       Node* last_right = sr.curr;
       std::uintptr_t last_right_op = sr.curr_op;
       Node* next = sr.curr->right.load(std::memory_order_acquire);
-      while (next != nullptr) {
+      while (!is_empty(next)) {
         sr.pred = sr.curr;
         sr.pred_op = sr.curr_op;
         sr.curr = next;
@@ -407,8 +440,7 @@ class HjTreeMap {
     slot.compare_exchange_strong(expected, op->update,
                                  std::memory_order_acq_rel);
     std::uintptr_t exp = flag(op, kChildCas);
-    dest->op.compare_exchange_strong(exp, flag(op, kNone),
-                                     std::memory_order_acq_rel);
+    dest->op.compare_exchange_strong(exp, op->done, std::memory_order_acq_rel);
   }
 
   bool help_relocate(RelocateOp* op, Node* pred, std::uintptr_t pred_op,
@@ -442,7 +474,7 @@ class HjTreeMap {
         domain_->retire(const_cast<Payload*>(op->old_payload));
       }
       std::uintptr_t exp = flag(op, kRelocate);
-      op->dest->op.compare_exchange_strong(exp, flag(op, kNone),
+      op->dest->op.compare_exchange_strong(exp, op->dest_done,
                                            std::memory_order_acq_rel);
     }
 
@@ -458,14 +490,14 @@ class HjTreeMap {
       curr->op.compare_exchange_strong(exp, flag(op, kMark),
                                        std::memory_order_acq_rel);
       // If the successor hangs directly off the destination, the
-      // destination's op word just moved to FLAG(op, NONE) — use that as
-      // the expected stamp for the splice instead of the stale one.
-      if (op->dest == pred) pred_op = flag(op, kNone);
+      // destination's op word just moved to its next clean stamp — use
+      // that as the expected stamp for the splice instead of the stale one.
+      if (op->dest == pred) pred_op = op->dest_done;
       help_marked(pred, pred_op, curr);
     } else {
-      // Failed: unstick the successor (fresh stamp, flag NONE).
+      // Failed: unstick the successor (its next clean stamp).
       std::uintptr_t exp = flag(op, kRelocate);
-      curr->op.compare_exchange_strong(exp, flag(op, kNone),
+      curr->op.compare_exchange_strong(exp, op->succ_done,
                                        std::memory_order_acq_rel);
     }
     return result;
@@ -473,13 +505,16 @@ class HjTreeMap {
 
   bool help_marked(Node* pred, std::uintptr_t pred_op, Node* curr) {
     Node* left = curr->left.load(std::memory_order_acquire);
-    Node* new_ref =
-        left != nullptr ? left : curr->right.load(std::memory_order_acquire);
+    Node* right = curr->right.load(std::memory_order_acquire);
+    Node* new_ref = !is_empty(left)    ? left
+                    : !is_empty(right) ? right
+                                       : empty_mark(curr);
     auto* cas_op = reclaim::make_counted<ChildCasOp>();
     cas_op->is_left =
         (curr == pred->left.load(std::memory_order_acquire));
     cas_op->expected = curr;
     cas_op->update = new_ref;
+    cas_op->done = next_clean(pred_op);
     std::uintptr_t expected = pred_op;
     if (pred->op.compare_exchange_strong(expected, flag(cas_op, kChildCas),
                                          std::memory_order_acq_rel)) {
@@ -498,7 +533,7 @@ class HjTreeMap {
 
   template <typename F>
   void visit(const Node* n, F& fn) const {
-    if (n == nullptr) return;
+    if (is_empty(n)) return;
     visit(n->left.load(std::memory_order_acquire), fn);
     const std::uintptr_t w = n->op.load(std::memory_order_acquire);
     const Payload* p = n->payload.load(std::memory_order_acquire);
@@ -508,7 +543,7 @@ class HjTreeMap {
 
   bool visit_until(const Node* n, bool left,
                    std::optional<std::pair<K, V>>& out) const {
-    if (n == nullptr) return true;
+    if (is_empty(n)) return true;
     const Node* first = left ? n->left.load(std::memory_order_acquire)
                              : n->right.load(std::memory_order_acquire);
     const Node* second = left ? n->right.load(std::memory_order_acquire)

@@ -114,11 +114,18 @@ bool help_scx(ScxRecord<NodeT>* rec, reclaim::EbrDomain& domain);
 
 /// LLX. Helps any in-progress operation it runs into, then fails so the
 /// caller re-reads fresh state.
+/// The finalized flag is read *after* the record's state, as in Brown et
+/// al.'s LLX: an SCX finalizes its nodes before it stores kCommitted, so
+/// seeing kCommitted guarantees seeing the mark. Read first, the flag can
+/// be stale (false) while the state is already kCommitted; the LLX then
+/// hands out a snapshot of a node that has just left the tree, a later SCX
+/// freezes it, and its finalized parent stays linked — every LLX on that
+/// parent fails from then on and updates below it retry forever.
 template <typename NodeT>
 LlxResult<NodeT> llx(NodeT* node, reclaim::EbrDomain& domain) {
-  const bool marked = node->finalized.load(std::memory_order_acquire);
   ScxRecord<NodeT>* info = node->info.load(std::memory_order_acquire);
   const int state = info->state.load(std::memory_order_acquire);
+  const bool marked = node->finalized.load(std::memory_order_acquire);
   if ((state == ScxRecord<NodeT>::kCommitted ||
        state == ScxRecord<NodeT>::kAborted) &&
       !marked) {

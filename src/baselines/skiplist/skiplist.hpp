@@ -2,8 +2,8 @@
 // java.util.concurrent.ConcurrentSkipListMap, which the paper benchmarks
 // as "Java's Skip List"). Marked next pointers carry the logical-deletion
 // bit; find() physically snips marked nodes as it traverses. Memory is
-// reclaimed through the shared EBR domain (the marker thread retires the
-// node once it has been unlinked from the bottom level).
+// reclaimed through the shared EBR domain: a node is retired once both its
+// inserter and its eraser are done with it (see Node::holds).
 #pragma once
 
 #include <atomic>
@@ -105,13 +105,14 @@ class SkipListMap {
           }
         }
       }
-      // Reclamation safety: if an erase claimed the node while we were
-      // still linking, a level we linked *after* the eraser's cleanup
-      // find() would stay reachable forever on a retired node. One more
-      // find() here snips every marked level we may have published.
+      // If an erase claimed the node while we were still linking, a level
+      // we linked *after* the eraser's cleanup find() would stay reachable.
+      // One more find() here snips every marked level we may have
+      // published; only then may the node be retired.
       if (nn->marked.load(std::memory_order_acquire)) {
         find(k, preds, succs);
       }
+      release(nn);
       return true;
     }
   }
@@ -128,16 +129,9 @@ class SkipListMap {
                                                 std::memory_order_acq_rel)) {
       return false;
     }
-    // Mark every level's next pointer, top down.
-    for (int i = victim->top_level - 1; i >= 0; --i) {
-      std::uintptr_t next = victim->next[i].load(std::memory_order_acquire);
-      while (!is_marked(next)) {
-        victim->next[i].compare_exchange_weak(next, mark(next),
-                                              std::memory_order_acq_rel);
-      }
-    }
+    mark_levels(victim);
     find(k, preds, succs);  // physically unlink
-    domain_->retire(victim);
+    release(victim);
     return true;
   }
 
@@ -297,6 +291,12 @@ class SkipListMap {
     const int top_level;
     const Sentinel sentinel;
     std::atomic<bool> marked{false};
+    // One hold for the inserter, dropped once it links no more levels, and
+    // one for the eraser, dropped after its unlinking find(). Retiring on
+    // the eraser's drop alone is not safe: the inserter may still link an
+    // upper level after that find(), so a reader could reach the node after
+    // it was retired and hold it past the grace period.
+    std::atomic<int> holds{2};
     std::atomic<std::uintptr_t> next[kMaxLevel];
 
     Node(K k, V v, int top, Sentinel s)
@@ -305,6 +305,24 @@ class SkipListMap {
       for (auto& p : next) p.store(0, std::memory_order_relaxed);
     }
   };
+
+  /// Marks every level's next pointer of a claimed node, top down.
+  static void mark_levels(Node* n) {
+    for (int i = n->top_level - 1; i >= 0; --i) {
+      std::uintptr_t next = n->next[i].load(std::memory_order_acquire);
+      while (!is_marked(next)) {
+        n->next[i].compare_exchange_weak(next, mark(next),
+                                         std::memory_order_acq_rel);
+      }
+    }
+  }
+
+  /// Drops one of the node's two holds; the last one retires it.
+  void release(Node* n) {
+    if (n->holds.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      domain_->retire(n);
+    }
+  }
 
   static std::uintptr_t pack(Node* p, bool marked_bit) {
     return reinterpret_cast<std::uintptr_t>(p) |
@@ -396,9 +414,19 @@ class SkipListMap {
         preds[i] = pred;
         succs[i] = curr;
       }
-      return succs[0]->sentinel == Sentinel::kNone &&
-             !node_greater(succs[0], k) &&
-             !succs[0]->marked.load(std::memory_order_acquire);
+      {
+        Node* hit = succs[0];
+        if (hit->sentinel != Sentinel::kNone || node_greater(hit, k)) {
+          return false;
+        }
+        if (!hit->marked.load(std::memory_order_acquire)) return true;
+        // Claimed by an eraser that has not marked every level yet. A new
+        // node with the same key must not be linked in front of it: the
+        // eraser's find() would stop at the newcomer and leave the claimed
+        // node linked after its retirement. Finish the marking and look
+        // again, which snips it.
+        mark_levels(hit);
+      }
     retry:;
     }
   }

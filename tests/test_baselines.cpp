@@ -310,4 +310,26 @@ TYPED_TEST(BaselineTest, RunsOnAPrivateEbrDomain) {
   }
 }
 
+// The CF tree's maintenance thread goes on rotating after the client
+// stops. A rotation clones the node that moves down and leaves the
+// original's outgoing pointers in place, so an in-order sweep parked on
+// the original once saw a subtree twice (size_slow 151 against 144 keys in
+// DifferentialVsStdMap). Ascending inserts build a spine the maintenance
+// thread is still rebalancing while the sweeps run.
+TEST(CfTreeSweep, ExactWhileMaintenanceRotates) {
+  constexpr K kKeys = 2'000;
+  for (int round = 0; round < scaled(20); ++round) {
+    lot::baselines::CfTreeMap<K, V> m;
+    for (K k = 0; k < kKeys; ++k) ASSERT_TRUE(m.insert(k, k));
+    for (int sweep = 0; sweep < 200; ++sweep) {
+      K expect = 0;
+      m.for_each([&](K k, V) {
+        ASSERT_EQ(k, expect) << "round " << round << " sweep " << sweep;
+        ++expect;
+      });
+      ASSERT_EQ(expect, kKeys) << "round " << round << " sweep " << sweep;
+    }
+  }
+}
+
 }  // namespace
