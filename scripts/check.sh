@@ -18,7 +18,8 @@
 #      be *rejected*, plus the LOT_FAULT_INJECT campaign (seeded
 #      allocation failures and guard stalls with per-phase structural
 #      validation and leak accounting, over the slab pool and over plain
-#      new/delete);
+#      new/delete), then the snapshot campaign and its control repeated
+#      5x in parallel;
 #   3. the whole-build ThreadSanitizer preset (build-tsan/, iteration
 #      counts scaled down by LOT_STRESS_DIVISOR=20), minus the scan
 #      stress which stage 4 gates explicitly;
@@ -108,7 +109,16 @@ stage_1() {
 stage_2() {
   needs "$BUILT_DEFAULT" "build/" || return
   (cd build && ctest --output-on-failure -R "$STRESS_RE") \
-    || fail "stress + checker"
+    || { fail "stress + checker"; return; }
+  # The snapshot campaign and its torn-snapshot control once more, five
+  # times each, uninstrumented and side by side on every core: the MVCC
+  # ordering argument rests on fences TSan cannot model (DESIGN.md §16),
+  # so only parallel hardware runs exercise it, and the control must be
+  # rejected on every repetition.
+  (cd build && ctest --output-on-failure -j "$(nproc)" \
+      -R 'LoSnapshotStress|TornSnapshot' -E '_tsan$' \
+      --repeat until-fail:5) \
+    || fail "snapshot stress repeated 5x"
 }
 
 stage_3() {

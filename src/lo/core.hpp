@@ -77,6 +77,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -164,7 +165,10 @@ class LoCore {
   explicit LoCore(reclaim::EbrDomain& domain =
                       reclaim::EbrDomain::global_domain(),
                   Compare comp = Compare(), Alloc alloc = Alloc())
-      : domain_(&domain), comp_(std::move(comp)), alloc_(std::move(alloc)) {
+      : domain_(&domain),
+        comp_(std::move(comp)),
+        alloc_(std::move(alloc)),
+        epoch_src_(&domain.snapshot_clock()) {
     // Sentinels use the same allocation policy as ordinary nodes and are
     // destroyed through it, so alloc_stats (and the pool's slot
     // accounting) balance to zero at teardown.
@@ -194,7 +198,7 @@ class LoCore {
       Alloc::template destroy<NodeT>(node);
       node = next;
     }
-    limbo_.prune(mvcc::kNoSnapshot, [this](NodeT* n) {
+    limbo_.prune([] { return mvcc::kNoSnapshot; }, [this](NodeT* n) {
       mvcc_destroy_versions(n);
       Alloc::template destroy<NodeT>(n);
     });
@@ -463,20 +467,41 @@ class LoCore {
   /// cross-shard range merge uses to enter each shard at the range start.
   Cursor cursor(const K& lo) const { return Cursor(*this, lo); }
 
+  /// A snapshot reserved but not yet adopted (snapshot_reserve): it
+  /// holds its thread's snapshot floor, the pessimistic token behind it
+  /// and the limbo mark read before the cut. Adopting hands the floor to
+  /// the view; a ticket dropped unadopted releases it. Thread-affine.
+  class SnapshotTicket {
+   public:
+    SnapshotTicket(SnapshotTicket&&) noexcept = default;
+
+   private:
+    SnapshotTicket(reclaim::EbrDomain::SnapshotFloor floor,
+                   std::uint64_t token, std::uint64_t mark)
+        : floor_(std::move(floor)), token_(token), limbo_mark_(mark) {}
+    reclaim::EbrDomain::SnapshotFloor floor_;
+    std::uint64_t token_;
+    std::uint64_t limbo_mark_;
+    friend class LoCore;
+  };
+
   /// An epoch-pinned consistent read view (DESIGN.md §16): every read
   /// through the view resolves against the single cut E adopted at
   /// snapshot() time — the whole scan linearizes at one point, unlike
   /// the live range()'s per-key weak consistency. The view pins a
-  /// reclamation epoch and holds a registry slot for its lifetime (both
-  /// block retirement behind it), so keep views short-lived on
-  /// update-heavy maps, like cursors.
+  /// reclamation epoch and holds its thread's snapshot floor for its
+  /// lifetime (both block retirement behind it), so keep views
+  /// short-lived on update-heavy maps, like cursors. Views are
+  /// thread-affine, like the Guard they hold: release them on the thread
+  /// that took them.
   class SnapshotView {
    public:
     SnapshotView(SnapshotView&& o) noexcept
         : guard_(std::move(o.guard_)),
+          floor_(std::move(o.floor_)),
           map_(o.map_),
-          token_(o.token_),
           epoch_(o.epoch_),
+          limbo_mark_(o.limbo_mark_),
           view_reads_(o.view_reads_) {
       o.map_ = nullptr;
     }
@@ -558,21 +583,34 @@ class LoCore {
       return Cursor(collect(&lo, &hi, tc));
     }
 
-    /// Drops the registry slot and the reclamation pin early (the
+    /// Drops the snapshot floor and the reclamation pin early (the
     /// destructor calls this too) and prunes limbo entries the departure
     /// may have freed up. Reads after release() return empty.
     void release() {
       if (map_ == nullptr) return;
       const LoCore* m = map_;
       map_ = nullptr;
-      m->snap_reg_.release(token_);
+      floor_.reset();
       guard_.reset();
       m->mvcc_prune_limbo();
     }
 
    private:
-    SnapshotView(const LoCore& m, std::uint64_t token, std::uint64_t e)
-        : guard_(m.domain_->guard()), map_(&m), token_(token), epoch_(e) {}
+    /// Takes over the ticket's floor once the guard is held.
+    SnapshotView(const LoCore& m, SnapshotTicket&& t, std::uint64_t e)
+        : guard_(m.domain_->guard()),
+          floor_(std::move(t.floor_)),
+          map_(&m),
+          epoch_(e),
+          limbo_mark_(t.limbo_mark_) {}
+
+    /// Whether limbo can hold an entry this view needs: only if it took
+    /// a push since the pre-cut mark (mvcc.hpp, ordering argument).
+    bool limbo_moved(obs::Tls tc) const {
+      if (!map_->limbo_.moved_since(limbo_mark_)) return false;
+      tc.add(obs::Counter::kLimboFolds);
+      return true;
+    }
 
     /// Point read against the cut: resolve the chain node for k, then
     /// fall back to limbo — a node unlinked after the cut was parked
@@ -584,7 +622,7 @@ class LoCore {
       if (map_->cmp(node, k) == 0 && node->tag == Tag::kNormal) {
         out = map_->mvcc_resolve(node, epoch_, &view_reads_, tc);
       }
-      if (!out.has_value()) {
+      if (!out.has_value() && limbo_moved(tc)) {
         map_->limbo_.for_each([&](NodeT* n, std::uint64_t death) {
           if (out.has_value() || death <= epoch_) return;
           if (map_->cmp(n, k) == 0) {
@@ -621,14 +659,16 @@ class LoCore {
         node = node->succ.load(std::memory_order_acquire);
       }
       std::vector<std::pair<K, V>> parked;
-      map_->limbo_.for_each([&](NodeT* n, std::uint64_t death) {
-        if (death <= epoch_) return;  // absent at the cut; skip cheaply
-        if (n->tag != Tag::kNormal) return;
-        if (lo != nullptr && map_->comp_(n->key, *lo)) return;
-        if (hi != nullptr && !map_->comp_(n->key, *hi)) return;
-        const auto v = map_->mvcc_resolve(n, epoch_, &view_reads_, tc);
-        if (v.has_value()) parked.emplace_back(n->key, *v);
-      });
+      if (limbo_moved(tc)) {
+        map_->limbo_.for_each([&](NodeT* n, std::uint64_t death) {
+          if (death <= epoch_) return;  // absent at the cut; skip cheaply
+          if (n->tag != Tag::kNormal) return;
+          if (lo != nullptr && map_->comp_(n->key, *lo)) return;
+          if (hi != nullptr && !map_->comp_(n->key, *hi)) return;
+          const auto v = map_->mvcc_resolve(n, epoch_, &view_reads_, tc);
+          if (v.has_value()) parked.emplace_back(n->key, *v);
+        });
+      }
       if (!parked.empty()) {
         const auto less = [this](const std::pair<K, V>& a,
                                  const std::pair<K, V>& b) {
@@ -650,27 +690,23 @@ class LoCore {
     }
 
     std::optional<reclaim::EbrDomain::Guard> guard_;
+    std::optional<reclaim::EbrDomain::SnapshotFloor> floor_;
     const LoCore* map_;
-    std::uint64_t token_;
     std::uint64_t epoch_;
+    std::uint64_t limbo_mark_;
     /// Per-view resolution counter feeding the LOT_INJECT_BUG==3 arm
     /// (mvcc_resolve); dead weight otherwise.
     mutable std::uint64_t view_reads_ = 0;
     friend class LoCore;
   };
 
-  /// Takes a consistent snapshot of the map: registers with the snapshot
-  /// registry *first* (so writers' limbo decisions already see the
-  /// reservation), then takes the cut E — the clock's only advance. The
-  /// fence pairs with the one in mvcc_stamp_fresh: a publication this
-  /// snapshot missed stamps strictly after E (mvcc.hpp, ordering
-  /// argument).
+  /// Takes a consistent snapshot of the map: publishes the thread's
+  /// snapshot floor *first* (so writers' limbo decisions already see it),
+  /// then takes the cut E — the clock's only advance.
   SnapshotView snapshot() const {
-    obs::count(obs::Counter::kSnapshotAcquires);
-    const std::uint64_t token = snap_reg_.reserve(epoch_src());
+    SnapshotTicket t = snapshot_reserve();
     const std::uint64_t e = epoch_src().cut();
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    return SnapshotView(*this, token, e);
+    return snapshot_adopt(std::move(t), e);
   }
 
   /// Two-phase snapshot for multi-shard composition (shard/sharded_map
@@ -679,25 +715,35 @@ class LoCore {
   /// per-shard views over the same E form a single consistent cut of
   /// the whole sharded map.
   /// Requires use_epoch_source() to have bound the shards together.
-  std::uint64_t snapshot_reserve() const {
-    return snap_reg_.reserve(epoch_src());
+  SnapshotTicket snapshot_reserve() const {
+    const std::uint64_t token = epoch_src().now();
+    auto floor = domain_->enter_snapshot(token);
+    return SnapshotTicket(std::move(floor), token, limbo_.mark());
   }
 
-  SnapshotView snapshot_adopt(std::uint64_t token, std::uint64_t e) const {
+  /// The fence pairs with the one in mvcc_stamp_fresh: a publication
+  /// this snapshot missed stamps strictly after E (mvcc.hpp, ordering
+  /// argument). `e` must be a cut taken after `t` was reserved.
+  SnapshotView snapshot_adopt(SnapshotTicket t, std::uint64_t e) const {
+    assert(t.token_ <= e);
     obs::count(obs::Counter::kSnapshotAcquires);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    return SnapshotView(*this, token, e);
+    return SnapshotView(*this, std::move(t), e);
   }
 
-  /// Rebinds this map's epoch clock to a shared source — how ShardedMap
-  /// makes per-shard snapshots compose. Call before any write or
-  /// snapshot touches the map.
+  /// Rebinds this map's epoch clock (by default its EBR domain's) to a
+  /// shared source — how ShardedMap makes per-shard snapshots compose.
+  /// Only for a map alone on its domain, as each shard is: snapshot
+  /// floors are kept per domain, so every map on a domain must read one
+  /// clock (DESIGN.md §16). Call before any write or snapshot touches
+  /// the map.
   void use_epoch_source(mvcc::EpochSource& src) { epoch_src_ = &src; }
   mvcc::EpochSource& epoch_source() const { return *epoch_src_; }
 
   std::size_t debug_limbo_size() const { return limbo_.size(); }
+  /// Threads holding a snapshot on this map's EBR domain (any map).
   std::size_t debug_active_snapshots() const {
-    return snap_reg_.active_count();
+    return domain_->snapshot_holders();
   }
 
   /// O(n) size via the ordering chain; exact at quiescence.
@@ -1020,7 +1066,8 @@ class LoCore {
           // snapshot scan collects limbo after its chain walk, so a node
           // it can still need must already be parked when it disappears
           // from the chain (DESIGN.md §16).
-          const bool limboed = mvcc_limbo_decision(s, mvcc_mark_dead(s));
+          const LimboDecision limbo =
+              mvcc_limbo_decision(s, mvcc_mark_dead(s));
           unlink_from_chain(p, s);
           check::perturb_point(check::PerturbPoint::kEraseBeforeTreeUnlink);
           if (shape == RemovalShape::kOneChild) {
@@ -1031,10 +1078,7 @@ class LoCore {
               relocate_successor(s);
             }
           }
-          if (!limboed) {
-            mvcc_retire_versions(s, tc);
-            domain_->template retire_via<Alloc>(s);
-          }
+          mvcc_dispose_unlinked(s, limbo, tc);
           tc.add(obs::Counter::kEraseOps);
           tc.add(obs::Counter::kEraseSuccess);
           if constexpr (kLogicalRemoving) {
@@ -1212,6 +1256,7 @@ class LoCore {
   // interval lock, plus the bounded help-finalize CAS (mvcc.hpp has the
   // protocol).
 
+  static_assert(mvcc::kNoSnapshot == reclaim::EbrDomain::kNoFloor);
   static_assert(mvcc::kUnstamped == 0 && mvcc::kAlive == 0,
                 "node stamp fields initialize to 0 == kUnstamped/kAlive "
                 "(lo/node.hpp cannot include lo/mvcc.hpp)");
@@ -1242,19 +1287,37 @@ class LoCore {
     return mvcc::finalize(q->vdeath, mvcc::kDying, epoch_src());
   }
 
+  struct LimboDecision {
+    bool parked;  // s went to limbo; the caller must not retire it
+    bool prune;   // prune limbo once s is off the chain
+  };
+
   /// The park-or-retire decision, made *before* the chain splice: if any
-  /// registered snapshot could still need the node (min_active < death),
-  /// park it in limbo and return true (the caller must not retire it).
-  /// `d` was drawn (a seq_cst load of the clock) before this min load,
-  /// and reserve() stores the min (seq_cst) before its caller's cut RMW,
-  /// so a registrant this load misses took a cut E >= d — the node is
-  /// absent in its snapshot anyway (mvcc.hpp, ordering argument).
-  bool mvcc_limbo_decision(NodeT* s, std::uint64_t d) {
-    if (snap_reg_.min_active() < d) {
-      limbo_.push(s, d);
-      return true;
+  /// live snapshot could still need the node (some floor < death), park
+  /// it in limbo (the caller must not retire it). `d`
+  /// was drawn (a seq_cst load of the clock) before these floor loads,
+  /// and enter_snapshot() stores the floor (seq_cst) before its caller's
+  /// cut RMW, so a snapshot they miss took a cut E >= d — the node is
+  /// absent in it anyway (mvcc.hpp, ordering argument).
+  ///
+  /// It also says whether limbo wants a prune once s is off the chain:
+  /// when this park outgrew the prune mark. That writer-side prune is
+  /// what bounds nodes parked under another map's views on a shared
+  /// domain, which no view of this map ever releases.
+  LimboDecision mvcc_limbo_decision(NodeT* s, std::uint64_t d) {
+    if (domain_->snapshot_floor_min() >= d) return {false, false};
+    obs::count(obs::Counter::kLimboParks);
+    return {true, limbo_.push(s, d)};
+  }
+
+  /// After the chain splice: retires s unless it parked, then prunes
+  /// limbo if the decision asked for it.
+  void mvcc_dispose_unlinked(NodeT* s, LimboDecision dec, obs::Tls tc) {
+    if (!dec.parked) {
+      mvcc_retire_versions(s, tc);
+      domain_->template retire_via<Alloc>(s);
     }
-    return false;
+    if (dec.prune) mvcc_prune_limbo();
   }
 
   /// Folds s's outgoing incarnation into `spare` (pushed on the vhead
@@ -1311,14 +1374,14 @@ class LoCore {
     mvcc::finalize(n->vbirth, mvcc::kUnstamped, epoch_src());
   }
 
-  /// Cuts s's version chain below the oldest record any registered
-  /// snapshot can reach. First-fit resolution stops at the first record
-  /// with birth <= E, and every registered E is >= min_active, so the
-  /// first record with death <= min_active is an absorbing boundary: no
-  /// resolution walks past it. It stays; everything older retires.
+  /// Cuts s's version chain below the oldest record any live snapshot
+  /// can reach. First-fit resolution stops at the first record with
+  /// birth <= E, and every live E is >= the lowest floor m, so the first
+  /// record with death <= m is an absorbing boundary: no resolution
+  /// walks past it. It stays; everything older retires.
   void mvcc_truncate(NodeT* s, obs::Tls tc) {
     if constexpr (kLogicalRemoving) {
-      const std::uint64_t m = snap_reg_.min_active();
+      const std::uint64_t m = domain_->snapshot_floor_min();
       mvcc::PastVersion<V>* r = s->vhead.load(std::memory_order_relaxed);
       while (r != nullptr && r->death > m) {
         r = r->next.load(std::memory_order_relaxed);
@@ -1453,13 +1516,16 @@ class LoCore {
     }
   }
 
-  /// Retires every limbo entry no registered snapshot can need. Runs on
-  /// view release, so limbo only grows while snapshots are live.
+  /// Retires every limbo entry no live snapshot can need. Runs on view
+  /// release and from writers whose park outgrew the prune mark
+  /// (mvcc_limbo_decision); an empty limbo costs one load.
   void mvcc_prune_limbo() const {
-    limbo_.prune(snap_reg_.min_active(), [this](NodeT* n) {
-      mvcc_retire_versions(n, obs::tls());
-      domain_->template retire_via<Alloc>(n);
-    });
+    if (limbo_.size() == 0) return;
+    limbo_.prune([this] { return domain_->snapshot_floor_min(); },
+                 [this](NodeT* n) {
+                   mvcc_retire_versions(n, obs::tls());
+                   domain_->template retire_via<Alloc>(n);
+                 });
   }
 
   /// Publishes a relink of p->succ. Call under p's succ_lock, after the
@@ -1813,13 +1879,11 @@ class LoCore {
     // it; no new stamp here — just help-finalize in case that erase's
     // finalize CAS has not landed yet, and reuse the stamp for the limbo
     // decision.
-    const bool limboed = mvcc_limbo_decision(q, mvcc_finalize_death(q));
+    const LimboDecision limbo =
+        mvcc_limbo_decision(q, mvcc_finalize_death(q));
     unlink_from_chain(p, q);
     unlink_node(q, np, child);
-    if (!limboed) {
-      mvcc_retire_versions(q, obs::tls());
-      domain_->template retire_via<Alloc>(q);
-    }
+    mvcc_dispose_unlinked(q, limbo, obs::tls());
     obs::count(obs::Counter::kPurgeSuccesses);
     return true;
   }
@@ -1831,12 +1895,13 @@ class LoCore {
   NodeT* neg_;
   NodeT* pos_;
 
-  // MVCC state (lo/mvcc.hpp). The owned source is the default clock;
-  // ShardedMap rebinds every shard to one shared source. Mutable:
-  // snapshot() is a read and must work on const maps.
-  mutable mvcc::EpochSource epoch_src_own_;
-  mvcc::EpochSource* epoch_src_ = &epoch_src_own_;
-  mutable mvcc::SnapshotRegistry snap_reg_;
+  // MVCC state (lo/mvcc.hpp). The clock is the domain's by default;
+  // ShardedMap rebinds every shard to one shared source. Both clocks
+  // and the snapshot floors live outside the map. The limbo list fills
+  // its own cache line (every park writes it), away from the fields
+  // above that every operation reads. Mutable: snapshot() is a read and
+  // must work on const maps.
+  mvcc::EpochSource* epoch_src_;
   mutable mvcc::LimboList<NodeT> limbo_;
 };
 

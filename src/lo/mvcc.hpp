@@ -1,8 +1,9 @@
-// MVCC scaffolding for the snapshot layer (DESIGN.md §16): the epoch
-// source, the stamp-finalization protocol, the past-incarnation version
-// records, the snapshot registry and the limbo list. The policy of *when*
-// these are used lives in lo/core.hpp; this header owns the data types
-// and the memory-ordering contract.
+// MVCC scaffolding for the snapshot layer (DESIGN.md §16): the
+// stamp-finalization protocol, the past-incarnation version records and
+// the limbo list. The policy of *when* these are used lives in
+// lo/core.hpp; the epoch clock and the snapshot floors live in the EBR
+// domain (reclaim/ebr.hpp), so every map on a domain reads one clock.
+// This header owns the data types and the memory-ordering contract.
 //
 // Design. Every node carries two epoch stamps on its hot line
 // (lo/node.hpp): `vbirth` — the epoch its current incarnation became
@@ -64,19 +65,44 @@
 //    cut's RMW precedes the draw, so the draw reads >= E + 1 and the
 //    stamp lands strictly after E ([atomics.order] fence-fence pairing).
 //    Either way the cut is consistent.
-//  * The same argument with the registry's `min_active` in place of the
-//    chain makes the limbo decision safe: a remover whose min load
-//    misses a registering snapshot drew its death stamp before that
-//    snapshot's cut RMW in the seq_cst order, so the stamp is <= the
-//    snapshot's E — skipping the limbo park only ever hides nodes the
-//    snapshot must report absent anyway.
+//  * The same argument with the snapshot floors in place of the chain
+//    makes the limbo decision safe. A snapshot publishes its thread's
+//    floor (reclaim::EbrDomain::enter_snapshot: a seq_cst RMW of the
+//    domain's holder count unless its record is still counted, then a
+//    seq_cst store of a clock value read before the cut, so <= E)
+//    before its cut RMW. A remover whose count
+//    or floor loads miss them drew its death stamp before that RMW in
+//    the seq_cst order, so the stamp is <= E: skipping the park only
+//    ever hides nodes the snapshot must report absent anyway. Floors
+//    are per thread (views are thread-affine) and per domain, and every
+//    map on a domain reads the domain's clock, so a floor is comparable
+//    with every death stamp it is tested against: a thread's floor is
+//    the min of its live views' tokens, and a view of one map only
+//    over-parks the other maps on its domain.
+//  * A view folds limbo only if the limbo's push counter moved since it
+//    read LimboList::mark() before its cut. An entry the view needs has
+//    death > E, so its stamp was drawn after the cut RMW, and its push,
+//    which follows the draw, cannot be counted in the pre-cut mark. A
+//    splice the walk observed happens-after its push (the remover parks
+//    before it splices), so the post-walk counter read sees the push.
+//    Both reads are seq_cst; no fence is added for them.
+//  * A prune reads the lowest floor under the limbo lock, after every
+//    entry it may dispose was pushed: an entry's death draw happens-
+//    before that read, so a view needing the entry (death > E) stored
+//    its floor before the read in the seq_cst order and holds the entry
+//    back. A floor read before taking the lock would miss a view that
+//    entered between the read and a later push, and dispose an entry
+//    the view still needs.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "reclaim/ebr.hpp"
+#include "sync/cacheline.hpp"
 #include "sync/spinlock.hpp"
 
 namespace lot::lo::mvcc {
@@ -98,36 +124,14 @@ inline constexpr std::uint64_t kAlive = 0;
 /// Pending-death sentinel; readers help-finalize.
 inline constexpr std::uint64_t kDying = ~std::uint64_t{0};
 
-/// SnapshotRegistry::min_active() when no snapshot is registered.
+/// The floor of a thread that holds no snapshot
+/// (reclaim::EbrDomain::kNoFloor).
 inline constexpr std::uint64_t kNoSnapshot = ~std::uint64_t{0};
 
-/// The epoch clock: one per map by default, one shared instance across
-/// every shard of a ShardedMap (LoCore::use_epoch_source) so per-shard
-/// snapshots compose into a single cut. Only cuts write it.
-class EpochSource {
- public:
-  /// Current epoch, without advancing the clock — the registry's
-  /// pessimistic token, which is <= any cut taken after it.
-  std::uint64_t now() const { return counter_.load(std::memory_order_seq_cst); }
-
-  /// Draws a stamp for a write: the current epoch. A seq_cst load, so
-  /// it is >= E + 1 for every cut E whose RMW precedes it in the seq_cst
-  /// total order and <= E for every cut it precedes (the ordering
-  /// argument above).
-  std::uint64_t next_stamp() const {
-    return counter_.load(std::memory_order_seq_cst);
-  }
-
-  /// Takes a snapshot's cut: advances the clock and returns the epoch
-  /// before the increment as E. Every stamp drawn before this RMW is
-  /// <= E, every stamp drawn after it is > E. The clock's only writer.
-  std::uint64_t cut() {
-    return counter_.fetch_add(1, std::memory_order_seq_cst);
-  }
-
- private:
-  std::atomic<std::uint64_t> counter_{1};
-};
+/// The epoch clock. Each EBR domain owns one that its maps share;
+/// ShardedMap binds its shards (each on a private domain) to one shared
+/// instance instead (LoCore::use_epoch_source).
+using reclaim::EpochSource;
 
 /// Finalizes a pending stamp slot: CASes `pending` to a freshly drawn
 /// stamp, helping if someone else already did. Returns the winning stamp
@@ -162,82 +166,36 @@ struct PastVersion {
   std::atomic<PastVersion*> next{nullptr};
 };
 
-/// The active-snapshot registry: what gives writers a safe lower bound
-/// (`min_active`) on every live snapshot's epoch, for the limbo decision
-/// and for chain truncation. Registration is *pessimistic*: a snapshot
-/// reserves with the clock value read before it adopts its real epoch E,
-/// so the registered value is <= E and min_active() never overshoots.
-/// The reserve's seq_cst min store precedes the snapshot's epoch
-/// adoption, completing the Dekker pairing with writers' min loads.
-class SnapshotRegistry {
- public:
-  /// Registers a snapshot-to-be and returns its token (the pessimistic
-  /// epoch). Call *before* reading the cut epoch.
-  std::uint64_t reserve(EpochSource& src) {
-    lock_.lock();
-    const std::uint64_t m = src.now();
-    active_.push_back(m);
-    recompute_min_locked();
-    lock_.unlock();
-    return m;
-  }
-
-  /// Deregisters; pass the token reserve() returned.
-  void release(std::uint64_t token) {
-    lock_.lock();
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (active_[i] == token) {
-        active_[i] = active_.back();
-        active_.pop_back();
-        break;
-      }
-    }
-    recompute_min_locked();
-    lock_.unlock();
-  }
-
-  /// Lower bound on every registered snapshot's epoch; kNoSnapshot when
-  /// none is registered. Seq_cst: writers' limbo/truncation decisions
-  /// order against reserve() through this load.
-  std::uint64_t min_active() const {
-    return min_active_.load(std::memory_order_seq_cst);
-  }
-
-  std::size_t active_count() const {
-    lock_.lock();
-    const std::size_t n = active_.size();
-    lock_.unlock();
-    return n;
-  }
-
- private:
-  void recompute_min_locked() {
-    std::uint64_t m = kNoSnapshot;
-    for (const std::uint64_t e : active_) {
-      if (e < m) m = e;
-    }
-    min_active_.store(m, std::memory_order_seq_cst);
-  }
-
-  mutable sync::SpinLock lock_;
-  std::vector<std::uint64_t> active_;
-  std::atomic<std::uint64_t> min_active_{kNoSnapshot};
-};
-
 /// Nodes unlinked from the ordering chain while a snapshot still needs
-/// them (death stamp > min_active at unlink time) park here instead of
-/// retiring: snapshot scans collect limbo *after* their chain walk, so a
-/// node that vanished from the chain mid-walk is guaranteed already
-/// parked (the remover parks before it splices). Entries are pruned when
-/// snapshots release: death <= min_active means every live snapshot must
+/// them (death stamp above some thread's snapshot floor at unlink time)
+/// park here instead of retiring. Entries are pruned when snapshots
+/// release, and by writers (LoCore::mvcc_limbo_decision) when the list
+/// outgrows its prune mark: death <= the lowest floor means every live snapshot must
 /// report the node absent, so it can finally retire.
+///
+/// Readers take the lock only when the list moved: a view reads mark()
+/// before its cut and folds limbo only if moved_since(mark) after its
+/// chain walk (third ordering bullet above).
 template <typename Node>
-class LimboList {
+class alignas(sync::kCacheLineSize) LimboList {
  public:
-  void push(Node* node, std::uint64_t death) {
+  /// Parks `node`. Returns true when the list has outgrown its prune
+  /// mark: the caller should prune once the node is off the chain.
+  bool push(Node* node, std::uint64_t death) {
     lock_.lock();
     entries_.push_back({node, death});
+    size_.store(entries_.size(), std::memory_order_relaxed);
+    pushes_.fetch_add(1, std::memory_order_seq_cst);
+    const bool over = entries_.size() >= prune_mark_;
     lock_.unlock();
+    return over;
+  }
+
+  /// The push counter, for moved_since(). Seq_cst: a view reads it
+  /// before its cut RMW.
+  std::uint64_t mark() const { return pushes_.load(std::memory_order_seq_cst); }
+  bool moved_since(std::uint64_t mark) const {
+    return pushes_.load(std::memory_order_seq_cst) != mark;
   }
 
   /// Visits every parked entry under the list lock: fn(node, death).
@@ -249,15 +207,21 @@ class LimboList {
     lock_.unlock();
   }
 
-  /// Disposes every entry no live snapshot can need (death <=
-  /// min_active), via `dispose(node)` outside the lock. Returns how many.
-  template <typename F>
-  std::size_t prune(std::uint64_t min_active, F&& dispose) {
+  /// Disposes every entry no live snapshot can need (death <= floor),
+  /// via `dispose(node)` outside the lock, and sets the prune mark to
+  /// twice what stays, so writer-side prunes cost O(1) per park.
+  /// Returns how many it disposed. `floor_fn()` is read under the lock:
+  /// an entry pushed after a floor read was taken could be needed by a
+  /// view whose floor that read missed, so the floor must postdate every
+  /// push it is compared with.
+  template <typename FloorFn, typename F>
+  std::size_t prune(FloorFn&& floor_fn, F&& dispose) {
     std::vector<Entry> dead;
     lock_.lock();
+    const std::uint64_t floor = floor_fn();
     std::size_t i = 0;
     while (i < entries_.size()) {
-      if (entries_[i].death <= min_active) {
+      if (entries_[i].death <= floor) {
         dead.push_back(entries_[i]);
         entries_[i] = entries_.back();
         entries_.pop_back();
@@ -265,25 +229,27 @@ class LimboList {
         ++i;
       }
     }
+    size_.store(entries_.size(), std::memory_order_relaxed);
+    prune_mark_ = std::max(kMinPruneMark, 2 * entries_.size());
     lock_.unlock();
     for (const Entry& e : dead) dispose(e.node);
     return dead.size();
   }
 
-  std::size_t size() const {
-    lock_.lock();
-    const std::size_t n = entries_.size();
-    lock_.unlock();
-    return n;
-  }
+  /// Parked entries; exact at quiescence, a hint otherwise.
+  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:
+  static constexpr std::size_t kMinPruneMark = 64;
   struct Entry {
     Node* node;
     std::uint64_t death;
   };
   mutable sync::SpinLock lock_;
   std::vector<Entry> entries_;
+  std::size_t prune_mark_ = kMinPruneMark;  // under lock_
+  std::atomic<std::size_t> size_{0};
+  std::atomic<std::uint64_t> pushes_{0};
 };
 
 }  // namespace lot::lo::mvcc

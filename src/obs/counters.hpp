@@ -76,6 +76,8 @@ enum class Counter : std::uint16_t {
   kSnapshotAcquires,  // snapshot() epoch draws (no descent of their own)
   kVersionsRetired,   // version records retired (truncation, node death)
   kVersionChainWalks, // version-chain resolutions (one per node resolved)
+  kLimboParks,        // unlinks parked in limbo under a live snapshot
+  kLimboFolds,        // snapshot reads that took the limbo lock to fold
 
   kCount
 };
@@ -114,6 +116,8 @@ constexpr const char* counter_name(Counter c) {
     case Counter::kSnapshotAcquires:   return "snapshot_acquires";
     case Counter::kVersionsRetired:    return "versions_retired";
     case Counter::kVersionChainWalks:  return "version_chain_walks";
+    case Counter::kLimboParks:         return "limbo_parks";
+    case Counter::kLimboFolds:         return "limbo_folds";
     case Counter::kCount:              break;
   }
   return "?";

@@ -87,8 +87,9 @@ struct Snapshot {
   /// construction: a snapshot contains/get/range performs one descent and
   /// bumps the same per-op counter as its live twin, snapshot cursor
   /// opens count kOrderedLocates, and the snapshot-only counters
-  /// (kSnapshotAcquires, kVersionsRetired, kVersionChainWalks) track
-  /// non-descent work, so none of them enters the sum.
+  /// (kSnapshotAcquires, kVersionsRetired, kVersionChainWalks,
+  /// kLimboParks, kLimboFolds) track non-descent work, so none of them
+  /// enters the sum.
   /// The companion cross-check is kValidationFallbacks ==
   /// kInsertRestarts + kEraseRestarts in fault-free runs. Signed: a mid-run
   /// transiently see more ops than descents (the descent is counted

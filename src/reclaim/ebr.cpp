@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -184,14 +186,129 @@ void EbrDomain::release_record_of_exiting_thread(Record* rec) {
   // destructor. The retired list stays with the record; the next owner,
   // flush()'s steal path, or the domain destructor frees it when eligible.
   rec->guard_depth = 0;
+  if (rec->snap_depth != 0) {  // a view that outlived its thread
+    rec->snap_depth = 0;
+    rec->snap_floor.store(kNoFloor, std::memory_order_release);
+  }
+  if (rec->snap_counted) {
+    rec->snap_counted = false;
+    snap_live_.fetch_sub(1, std::memory_order_release);
+  }
   rec->pinned_epoch.store(0, std::memory_order_release);
   rec->in_use.store(false, std::memory_order_release);
 }
 
 EbrDomain::Guard EbrDomain::guard() {
   Record* rec = acquire_record();
-  if (rec->guard_depth++ == 0) pin(*rec);
+  if (rec->guard_depth++ == 0) {
+    if (rec->snap_counted && rec->snap_depth == 0) note_snapshot_idle(*rec);
+    pin(*rec);
+  }
   return Guard(this, rec);
+}
+
+namespace {
+
+// The calling thread's live snapshot tokens, by record, so that a view
+// released out of order (a new view taken before the old one goes)
+// raises its record's floor to the oldest token still live instead of
+// pinning it until the thread's last view goes. Past the capacity views
+// go untracked; while one is live, floors only clear at depth 0.
+struct LiveTokens {
+  static constexpr std::size_t kCap = 16;
+  const void* rec[kCap];
+  std::uint64_t token[kCap];
+  std::size_t n = 0;
+  std::size_t untracked = 0;
+};
+thread_local LiveTokens t_live;
+
+}  // namespace
+
+EbrDomain::SnapshotFloor EbrDomain::enter_snapshot(std::uint64_t token) {
+  Record* rec = acquire_record();
+  if (!rec->snap_listed) list_snapshot_holder(*rec);
+  LiveTokens& lt = t_live;
+  if (lt.n < LiveTokens::kCap) {
+    lt.rec[lt.n] = rec;
+    lt.token[lt.n++] = token;
+  } else {
+    ++lt.untracked;
+  }
+  rec->snap_idle = 0;
+  if (rec->snap_depth++ == 0) {
+    // The count first: a writer that reads it as 0 drew its stamp before
+    // this RMW, hence before the caller's cut.
+    if (!rec->snap_counted) {
+      rec->snap_counted = true;
+      snap_live_.fetch_add(1, std::memory_order_seq_cst);
+    }
+    rec->snap_floor.store(token, std::memory_order_seq_cst);
+  } else if (token < rec->snap_floor.load(std::memory_order_relaxed)) {
+    rec->snap_floor.store(token, std::memory_order_seq_cst);
+  }
+  return SnapshotFloor(this, rec, token);
+}
+
+void EbrDomain::exit_snapshot(Record& rec, std::uint64_t token) {
+  // The depth and the token table belong to the thread that entered; a
+  // release anywhere else would corrupt both and could pin the floor for
+  // good, so it stops the process in every build.
+  if (rec.owner.load(std::memory_order_relaxed) != this_thread_hash() ||
+      rec.snap_depth == 0) {
+    std::fputs("lot: snapshot released on a thread other than the one "
+               "that took it (views are thread-affine)\n",
+               stderr);
+    std::abort();
+  }
+  LiveTokens& lt = t_live;
+  std::size_t i = 0;
+  while (i < lt.n && !(lt.rec[i] == &rec && lt.token[i] == token)) ++i;
+  if (i < lt.n) {
+    --lt.n;
+    lt.rec[i] = lt.rec[lt.n];
+    lt.token[i] = lt.token[lt.n];
+  } else {
+    --lt.untracked;
+  }
+  if (--rec.snap_depth == 0) {
+    rec.snap_floor.store(kNoFloor, std::memory_order_release);
+    return;
+  }
+  if (lt.untracked != 0) return;  // an untracked view may hold the min
+  // Raising the floor only loosens it, so a stale read of the old one
+  // just over-parks.
+  std::uint64_t m = kNoFloor;
+  for (std::size_t j = 0; j < lt.n; ++j) {
+    if (lt.rec[j] == &rec && lt.token[j] < m) m = lt.token[j];
+  }
+  if (m != rec.snap_floor.load(std::memory_order_relaxed)) {
+    rec.snap_floor.store(m, std::memory_order_release);
+  }
+}
+
+void EbrDomain::note_snapshot_idle(Record& rec) {
+  // The record's floor is already clear; once its thread stops taking
+  // views, leave the count so writers go back to one load.
+  if (++rec.snap_idle < kSnapIdleGuards) return;
+  rec.snap_counted = false;
+  snap_live_.fetch_sub(1, std::memory_order_release);
+}
+
+void EbrDomain::list_snapshot_holder(Record& rec) {
+  // Once per record, ever: find its index and raise the high-water mark
+  // over it. The seq_cst raise precedes the floor store, so a query that
+  // stops short of this record read the mark before the floor existed.
+  std::size_t index = 0;
+  for_each_record([&](Record& r, std::size_t i) {
+    if (&r == &rec) index = i;
+  });
+  std::size_t hwm = snap_hwm_.load(std::memory_order_seq_cst);
+  while (hwm <= index &&
+         !snap_hwm_.compare_exchange_weak(hwm, index + 1,
+                                          std::memory_order_seq_cst)) {
+  }
+  rec.snap_listed = true;
 }
 
 void EbrDomain::pin(Record& rec) {

@@ -36,17 +36,60 @@
 //    domain frees eligible entries in place to make room and, in the
 //    degenerate fully-pinned-and-OOM case, deliberately leaks the one
 //    object (counted in stats) rather than risk use-after-free.
+//
+// Snapshot floors (DESIGN.md §16). The MVCC layer (lo/mvcc.hpp) needs a
+// lower bound on every live snapshot's epoch; each record carries it as
+// one slot written only by its owner, so a snapshot acquire or release
+// touches no shared lock. The domain also owns the clock those floors
+// are read from (EpochSource), so every map on one domain measures its
+// stamps and its floors on the same clock. Writers first read a count of
+// records that may hold a floor: a record joins it with its thread's
+// first view and leaves it once its thread has gone a while without one
+// (or exits), so back-to-back views write no shared line besides the
+// clock. Only while the count is non-zero do writers scan the records,
+// up to a high-water mark of records that ever held a floor.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "reclaim/alloc_stats.hpp"
 #include "sync/cacheline.hpp"
 
 namespace lot::reclaim {
+
+/// The MVCC epoch clock (lo/mvcc.hpp has the ordering argument). Every
+/// EbrDomain owns one, which every map on the domain reads by default;
+/// ShardedMap binds its shards, each on a private domain, to one shared
+/// instance instead so per-shard snapshots compose into a single cut.
+/// Only cuts write it. Alone on its line: every cut writes it, and a
+/// map's hot fields must not share that.
+class alignas(sync::kCacheLineSize) EpochSource {
+ public:
+  /// Current epoch, without advancing the clock — a snapshot's
+  /// pessimistic floor token, which is <= any cut taken after it.
+  std::uint64_t now() const { return counter_.load(std::memory_order_seq_cst); }
+
+  /// Draws a stamp for a write: the current epoch. A seq_cst load, so
+  /// it is >= E + 1 for every cut E whose RMW precedes it in the seq_cst
+  /// total order and <= E for every cut it precedes.
+  std::uint64_t next_stamp() const {
+    return counter_.load(std::memory_order_seq_cst);
+  }
+
+  /// Takes a snapshot's cut: advances the clock and returns the epoch
+  /// before the increment as E. Every stamp drawn before this RMW is
+  /// <= E, every stamp drawn after it is > E. The clock's only writer.
+  std::uint64_t cut() {
+    return counter_.fetch_add(1, std::memory_order_seq_cst);
+  }
+
+ private:
+  std::atomic<std::uint64_t> counter_{1};
+};
 
 class EbrDomain {
  public:
@@ -199,6 +242,51 @@ class EbrDomain {
     return global_epoch_.load(std::memory_order_acquire);
   }
 
+  /// The domain's snapshot clock: what every map on this domain stamps
+  /// writes and takes cuts with, unless rebound to a shared clock
+  /// (LoCore::use_epoch_source, for maps on a private domain only).
+  EpochSource& snapshot_clock() { return snapshot_clock_; }
+
+  /// The floor of a record that holds no snapshot (== lo::mvcc::kNoSnapshot).
+  static constexpr std::uint64_t kNoFloor = ~std::uint64_t{0};
+
+  class SnapshotFloor;
+
+  /// Publishes the calling thread's snapshot floor until the returned
+  /// handle is destroyed: `token` must be a clock value read before the
+  /// snapshot's cut, so the floor is <= its epoch. A thread's floor is
+  /// the min of its live snapshots' tokens, in whatever order they are
+  /// released (a small thread-local table tracks them); the seq_cst
+  /// stores precede the caller's cut RMW (the Dekker pairing with
+  /// snapshot_floor_min). The handle is thread-affine like a Guard:
+  /// destroy it on the thread that entered. May throw std::bad_alloc
+  /// like guard(), with no domain state changed.
+  SnapshotFloor enter_snapshot(std::uint64_t token);
+
+  /// The lowest live floor (kNoFloor when no thread holds a snapshot): a
+  /// lower bound on every live snapshot's epoch. A node that died at `d`
+  /// may still be needed by a live snapshot iff this is below `d`.
+  /// Seq_cst loads, so a floor this misses was published after the
+  /// caller's stamp draw (the Dekker pairing with enter_snapshot).
+  std::uint64_t snapshot_floor_min() const {
+    std::uint64_t m = kNoFloor;
+    for_each_floor([&m](std::uint64_t f) {
+      if (f < m) m = f;
+      return false;
+    });
+    return m;
+  }
+
+  /// Records (threads) currently holding a floor on this domain.
+  std::size_t snapshot_holders() const {
+    std::size_t n = 0;
+    for_each_floor([&n](std::uint64_t f) {
+      n += f != kNoFloor ? 1 : 0;
+      return false;
+    });
+    return n;
+  }
+
   /// Point-in-time snapshot of the domain's health counters. Counters are
   /// monotonic; the stalled_* diagnostics describe the most recent
   /// watchdog episode (stalled_now says whether it is still in progress).
@@ -250,7 +338,16 @@ class EbrDomain {
   struct alignas(sync::kCacheLineSize) Record {
     std::atomic<std::uint64_t> pinned_epoch{0};  // 0 = not pinned
     std::atomic<bool> in_use{false};
+    // Owner thread only: whether snap_hwm_ already covers this record
+    // (it never shrinks, so the answer outlives the owner).
+    bool snap_listed = false;
+    // Owner thread only: whether snap_live_ counts this record, and the
+    // outermost guards taken since its last view went (snapshot floors
+    // above: a counted record stays counted across back-to-back views).
+    bool snap_counted = false;
+    std::uint8_t snap_idle = 0;
     unsigned guard_depth = 0;        // owner thread only
+    unsigned snap_depth = 0;         // owner thread only: live floors
     // `retired` is mutated by the owning thread and swept by flush();
     // list_lock arbitrates between them (uncontended on the owner's fast
     // path — flush only try-locks records with a live owner). retired_count
@@ -280,7 +377,12 @@ class EbrDomain {
     std::atomic<std::uint32_t> stall_strikes{0};
     std::atomic<bool> stall_reported{false};
     std::atomic<std::uint64_t> owner{0};  // hashed owner thread id
+    // Snapshot floor (enter_snapshot): written by the owner, read by
+    // writers' limbo decisions. The last 8 bytes of the second line.
+    std::atomic<std::uint64_t> snap_floor{kNoFloor};
   };
+  static_assert(sizeof(Record) == 2 * sync::kCacheLineSize,
+                "the snapshot floor must fit the record's two lines");
 
   /// The record pool grows by whole chunks; records never move, so cached
   /// pointers and in-flight scans stay valid. The `next` links are seq_cst
@@ -314,6 +416,34 @@ class EbrDomain {
   /// Returns false iff the object had to be leaked. Caller holds list_lock.
   bool push_retired(Record& rec, const Retired& r);
   void release_record_of_exiting_thread(Record* rec);
+  void list_snapshot_holder(Record& rec);
+  void exit_snapshot(Record& rec, std::uint64_t token);
+  void note_snapshot_idle(Record& rec);
+  static constexpr std::uint8_t kSnapIdleGuards = 64;
+
+  /// Visits the floors of records [0, snap_hwm_) until fn returns true;
+  /// none while snap_live_ reads 0. A record is counted from its first
+  /// floor until kSnapIdleGuards outermost guards pass with no view of
+  /// its thread live, so a thread that snapshots often pays no shared
+  /// write per view. The count is raised (seq_cst) before
+  /// a record's floor is stored and the mark before the count, so a
+  /// visit that skips a live floor read the count before that floor's
+  /// thread raised it, hence before the thread's cut.
+  template <typename F>
+  void for_each_floor(F&& fn) const {
+    if (snap_live_.load(std::memory_order_seq_cst) == 0) return;
+    std::size_t n = snap_hwm_.load(std::memory_order_seq_cst);
+    for (const RecordChunk* c = &head_chunk_; n != 0 && c != nullptr;
+         c = c->next.load(std::memory_order_seq_cst)) {
+      const std::size_t k = n < kMaxThreads ? n : kMaxThreads;
+      for (std::size_t i = 0; i < k; ++i) {
+        if (fn(c->records[i].snap_floor.load(std::memory_order_seq_cst))) {
+          return;
+        }
+      }
+      n -= k;
+    }
+  }
 
   template <typename F>
   void for_each_record(F&& fn) {
@@ -338,6 +468,14 @@ class EbrDomain {
   std::atomic<std::uint32_t> stall_strike_limit_{kDefaultStallStrikeLimit};
   std::atomic<std::uint64_t> stall_report_us_{kDefaultStallReportUs};
   std::atomic<std::size_t> backpressure_stride_{kDefaultBackpressureStride};
+  // Records that may hold a floor (Record::snap_counted); and one past
+  // the highest record index that ever held a floor (raised once per
+  // record, never lowered). Off
+  // the fields above: writers read this line on every removal and
+  // revive, and a domain that never snapshots never writes it.
+  alignas(sync::kCacheLineSize) std::atomic<std::size_t> snap_live_{0};
+  std::atomic<std::size_t> snap_hwm_{0};
+  EpochSource snapshot_clock_;
   RecordChunk head_chunk_;
 
   // Health counters (stats()).
@@ -354,6 +492,7 @@ class EbrDomain {
   std::atomic<std::uint64_t> contention_events_{0};
 
   friend class Guard;
+  friend class SnapshotFloor;
   friend struct TlsCache;
 };
 
@@ -372,6 +511,28 @@ class EbrDomain::Guard {
   Guard(EbrDomain* d, Record* r) : domain_(d), rec_(r) {}
   EbrDomain* domain_;
   Record* rec_;
+  friend class EbrDomain;
+};
+
+/// One snapshot's hold on its thread's floor (enter_snapshot). It keeps
+/// the record it entered on, as a Guard does, so the exit lands there.
+class EbrDomain::SnapshotFloor {
+ public:
+  SnapshotFloor(SnapshotFloor&& o) noexcept
+      : domain_(o.domain_), rec_(std::exchange(o.rec_, nullptr)),
+        token_(o.token_) {}
+  SnapshotFloor(const SnapshotFloor&) = delete;
+  SnapshotFloor& operator=(const SnapshotFloor&) = delete;
+  ~SnapshotFloor() {
+    if (rec_ != nullptr) domain_->exit_snapshot(*rec_, token_);
+  }
+
+ private:
+  SnapshotFloor(EbrDomain* d, Record* r, std::uint64_t token)
+      : domain_(d), rec_(r), token_(token) {}
+  EbrDomain* domain_;
+  Record* rec_;
+  std::uint64_t token_;
   friend class EbrDomain;
 };
 

@@ -257,8 +257,8 @@ class ShardedMap {
   /// shard holds an epoch-pinned SnapshotView adopted at the same E from
   /// the shared clock, so cross-shard reads — unlike the live merge's
   /// per-shard caveat above — all linearize at that single point.
-  /// Holds one registry slot plus one reclamation pin PER SHARD; keep it
-  /// as short-lived as any view.
+  /// Holds one snapshot floor plus one reclamation pin PER SHARD domain;
+  /// keep it as short-lived as any view, and on the thread that took it.
   class Snapshot {
    public:
     Snapshot(Snapshot&&) noexcept = default;
@@ -305,7 +305,7 @@ class ShardedMap {
       while (auto kv = merge.next()) fn(kv->first, kv->second);
     }
 
-    /// Drops every shard's registry slot and reclamation pin early (the
+    /// Drops every shard's snapshot floor and reclamation pin early (the
     /// destructor does the same); reads afterwards return empty.
     void release() {
       for (auto& v : views_) v.release();
@@ -334,24 +334,25 @@ class ShardedMap {
     friend class ShardedMap;
   };
 
-  /// Two-phase composite snapshot: every shard RESERVES its registry
-  /// slot first (publishing its pin floor to that shard's writers), then
-  /// one cut E is taken from the shared clock and adopted by all. A
+  /// Two-phase composite snapshot: every shard RESERVES a ticket first
+  /// (publishing the thread's snapshot floor to that shard's writers),
+  /// then one cut E is taken from the shared clock and adopted by all. A
   /// write on any shard stamped at or before E is visible through the
   /// snapshot, one stamped after E is not — shard-independently, which
   /// is exactly the single-cut claim tests/test_lo_ordered_api pins.
   Snapshot snapshot() const {
-    std::vector<std::uint64_t> tokens;
-    tokens.reserve(Shards);
+    std::vector<typename MapT::SnapshotTicket> tickets;
+    tickets.reserve(Shards);
     for (const auto& s : shards_) {
       s->stats.note_ordered();
-      tokens.push_back(s->map.snapshot_reserve());
+      tickets.push_back(s->map.snapshot_reserve());
     }
     const std::uint64_t e = epoch_src_.cut();
     std::vector<typename MapT::SnapshotView> views;
     views.reserve(Shards);
     for (unsigned i = 0; i < Shards; ++i) {
-      views.push_back(shards_[i]->map.snapshot_adopt(tokens[i], e));
+      views.push_back(
+          shards_[i]->map.snapshot_adopt(std::move(tickets[i]), e));
     }
     return Snapshot(std::move(views), e, comp_);
   }

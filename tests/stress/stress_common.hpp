@@ -399,7 +399,14 @@ void expect_obs_reconciles(const StressOutcome<KeyT>& out,
   if (snap_scans == 0) {
     EXPECT_EQ(d(Counter::kVersionChainWalks), 0u)
         << "version chain walked without any snapshot";
+    // Only a live snapshot's floor can park an unlinked node.
+    EXPECT_EQ(d(Counter::kLimboParks), 0u)
+        << "a node parked in limbo without any snapshot";
   }
+  // A snapshot read folds limbo at most once. The harness's views only
+  // scan (no snapshot point reads), so the scans bound the folds.
+  EXPECT_LE(d(Counter::kLimboFolds), snap_scans)
+      << "more limbo folds than snapshot reads";
 }
 
 /// Writes the full history and (if any) violation witness where

@@ -657,6 +657,189 @@ TYPED_TEST(OrderedApiTest, SnapshotSurvivesReviveBurstAndPurgeAll) {
   }
 }
 
+// Erases k and, on logical-removing maps, purges the zombie, so that k's
+// node leaves the ordering chain — what parks it in limbo while a
+// snapshot needs it.
+template <typename MapT>
+void erase_unlinked(MapT& m, K k) {
+  const std::size_t nodes = m.physical_nodes_slow();
+  ASSERT_TRUE(m.erase(k));
+  if constexpr (MapT::kLogicalRemoving) m.purge_all();
+  ASSERT_EQ(m.physical_nodes_slow(), nodes - 1)
+      << "key " << k << " stayed on the chain";
+}
+
+template <typename MapT>
+std::vector<K> view_keys(const typename MapT::SnapshotView& v) {
+  std::vector<K> keys;
+  v.for_each([&](K k, V) { keys.push_back(k); });
+  return keys;
+}
+
+std::vector<K> iota_keys(K n) {
+  std::vector<K> keys;
+  for (K k = 0; k < n; ++k) keys.push_back(k);
+  return keys;
+}
+
+// Snapshot floors are per thread and per EBR domain (DESIGN.md §16):
+// nested views — two on one map, one on a second map sharing the global
+// domain — keep the outer view's floor until the outer view itself goes,
+// so a node unlinked after the outer cut stays parked for it.
+TYPED_TEST(OrderedApiTest, NestedViewsKeepTheOuterFloor) {
+  TypeParam a;
+  TypeParam b;
+  for (K k = 0; k < 32; ++k) {
+    ASSERT_TRUE(a.insert(k, k));
+    ASSERT_TRUE(b.insert(k, k));
+  }
+  auto outer = a.snapshot();
+  erase_unlinked(a, 10);
+  {
+    auto inner = a.snapshot();
+    const auto other = b.snapshot();
+    EXPECT_EQ(a.debug_active_snapshots(), 1u) << "one thread, one floor";
+    EXPECT_FALSE(inner.contains(10));
+    erase_unlinked(a, 12);
+    inner.release();
+  }
+  EXPECT_EQ(a.debug_active_snapshots(), 1u);
+  erase_unlinked(a, 14);
+  EXPECT_EQ(a.debug_limbo_size(), 3u)
+      << "unlinks after the outer cut must park while the outer view lives";
+  EXPECT_TRUE(outer.contains(10));
+  EXPECT_EQ(outer.get(14), std::optional<V>(14));
+  EXPECT_EQ(view_keys<TypeParam>(outer), iota_keys(32));
+
+  outer.release();
+  EXPECT_EQ(a.debug_active_snapshots(), 0u);
+  EXPECT_EQ(a.debug_limbo_size(), 0u) << "the last release drains limbo";
+}
+
+// A view folds limbo (takes its lock) only when limbo took a push since
+// the view's cut: a park before the cut cannot hold anything the view
+// needs, a park after it can.
+TYPED_TEST(OrderedApiTest, ViewsFoldLimboOnlyWhenItMoved) {
+  using lot::obs::Counter;
+  const auto folds = [] {
+    return lot::obs::counter_total(Counter::kLimboFolds);
+  };
+  TypeParam m;
+  for (K k = 0; k < 32; ++k) ASSERT_TRUE(m.insert(k, k));
+  const auto holder = m.snapshot();  // keeps unlinked nodes parked
+  erase_unlinked(m, 4);
+  ASSERT_EQ(m.debug_limbo_size(), 1u);
+
+  const std::uint64_t f0 = folds();
+  const auto after = m.snapshot();  // cut follows the park
+  EXPECT_FALSE(after.contains(4));
+  EXPECT_EQ(view_keys<TypeParam>(after).size(), 31u);
+  EXPECT_EQ(folds() - f0, 0u) << "a view folded a limbo that never moved";
+
+  const auto before = m.snapshot();  // cut precedes the next park
+  erase_unlinked(m, 6);
+  const std::uint64_t f1 = folds();
+  EXPECT_TRUE(before.contains(6));
+  std::vector<K> keys;
+  before.range(0, 8, [&](K k, V) { keys.push_back(k); });
+  EXPECT_EQ(keys, (std::vector<K>{0, 1, 2, 3, 5, 6, 7}));
+  EXPECT_EQ(folds() - f1, 2u) << "one fold per read that needed limbo";
+}
+
+// A thread that drops its view and exits leaves no floor behind: its
+// record's slot is clear, so once the last view here goes, limbo drains.
+TYPED_TEST(OrderedApiTest, ExitedThreadLeavesNoSnapshotFloor) {
+  TypeParam m;
+  for (K k = 0; k < 32; ++k) ASSERT_TRUE(m.insert(k, k));
+  auto holder = m.snapshot();
+  std::thread t([&] {
+    const auto v = m.snapshot();
+    EXPECT_EQ(m.debug_active_snapshots(), 2u);
+    erase_unlinked(m, 8);
+    EXPECT_TRUE(v.contains(8));
+  });
+  t.join();
+  EXPECT_EQ(m.debug_active_snapshots(), 1u);
+  EXPECT_EQ(m.debug_limbo_size(), 1u) << "the older view still needs it";
+  holder.release();
+  EXPECT_EQ(m.debug_active_snapshots(), 0u);
+  EXPECT_EQ(m.debug_limbo_size(), 0u);
+  erase_unlinked(m, 20);
+  EXPECT_EQ(m.debug_limbo_size(), 0u) << "an unlink parked under no view";
+}
+
+// snapshot_reserve() publishes the floor; a ticket dropped without
+// snapshot_adopt() must take it back, moved-from tickets included.
+TYPED_TEST(OrderedApiTest, UnadoptedTicketReleasesItsFloor) {
+  TypeParam m;
+  for (K k = 0; k < 32; ++k) ASSERT_TRUE(m.insert(k, k));
+  {
+    auto t = m.snapshot_reserve();
+    EXPECT_EQ(m.debug_active_snapshots(), 1u);
+    auto moved = std::move(t);
+    EXPECT_EQ(m.debug_active_snapshots(), 1u);
+  }
+  EXPECT_EQ(m.debug_active_snapshots(), 0u);
+  {
+    // A cut advances the clock, so a floor left behind would park this.
+    const auto v = m.snapshot();
+  }
+  erase_unlinked(m, 2);
+  EXPECT_EQ(m.debug_limbo_size(), 0u);
+}
+
+// Floors are kept per EBR domain, so a view of one map parks the unlinks
+// of every other map on that domain, and no view of the other map ever
+// releases to prune them. Its writers do: a park past the prune mark
+// prunes, so limbo stays bounded while foreign views rotate, and a view
+// of its own drains it. The views rotate hand over hand (the new one is
+// taken before the old one goes), so the thread's floor must rise with
+// each release although the thread never drops to no view.
+TYPED_TEST(OrderedApiTest, LimboParkedUnderAnotherMapsViewsStaysBounded) {
+  constexpr K kKeys = 256;
+  TypeParam a;
+  TypeParam b;
+  for (K k = 0; k < kKeys; ++k) ASSERT_TRUE(a.insert(k, k));
+  ASSERT_TRUE(b.insert(0, 0));
+  ASSERT_EQ(&a.epoch_source(), &b.epoch_source()) << "one clock per domain";
+
+  std::optional<typename TypeParam::SnapshotView> view = b.snapshot();
+  std::size_t peak = 0;
+  for (K i = 0; i < 4 * kKeys; ++i) {
+    if (i % 16 == 0) view.emplace(b.snapshot());  // rotate b's view
+    // A new maximum is a leaf in both trees, so erasing it unlinks it.
+    ASSERT_TRUE(a.insert(kKeys + i, i));
+    erase_unlinked(a, kKeys + i);
+    peak = std::max(peak, a.debug_limbo_size());
+  }
+  EXPECT_GT(peak, 0u) << "no unlink parked; the test lost its premise";
+  EXPECT_LE(peak, 64u) << "a's limbo outgrew its prune mark";
+
+  view.reset();
+  EXPECT_EQ(b.debug_active_snapshots(), 0u);
+  ASSERT_TRUE(a.insert(5 * kKeys, 0));
+  erase_unlinked(a, 5 * kKeys);
+  EXPECT_LE(a.debug_limbo_size(), 64u);
+  a.snapshot().release();
+  EXPECT_EQ(a.debug_limbo_size(), 0u) << "a's own release left limbo parked";
+}
+
+// Views are thread-affine: a floor released on another thread would
+// unbalance the owner's depth and could pin its floor for good, so the
+// release stops the process in every build instead.
+TEST(SnapshotViewDeathTest, ReleaseOnAnotherThreadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  AvlMap<K, V> m;
+  ASSERT_TRUE(m.insert(1, 1));
+  EXPECT_DEATH(
+      {
+        auto v = m.snapshot();
+        std::thread t([v = std::move(v)]() mutable { v.release(); });
+        t.join();
+      },
+      "thread-affine");
+}
+
 // Composite sharded snapshot: per-shard views adopted at ONE shared epoch
 // form a single cut of the whole map. A sequential writer makes that
 // testable exactly: any single point of its history is a prefix of the

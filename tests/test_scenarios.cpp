@@ -226,15 +226,15 @@ TYPED_TEST(ScenarioTest, NoDeadlockUnderAdjacentKeyContention) {
 // maps, so reading best-bid then best-ask non-atomically can observe a
 // *crossed* book (bid >= ask) while the writer drifts the mid price —
 // even though no single instant of the writer's history is ever crossed.
-// Binding both sides to one epoch source and taking a two-phase composite
-// snapshot (reserve both registries, draw ONE cut, adopt on both) reads
-// the pair at a single instant, where crossing is impossible.
+// Both sides live on the global EBR domain, so they already read one
+// epoch clock, and a two-phase composite snapshot (reserve on both,
+// draw ONE cut, adopt on both) reads the pair at a single instant, where
+// crossing is impossible.
 TEST(OrderBookScenario, SnapshotNeverObservesCrossedBook) {
   AvlMap<K, V> bids;
   AvlMap<K, V> asks;
-  lot::lo::mvcc::EpochSource clock;
-  bids.use_epoch_source(clock);
-  asks.use_epoch_source(clock);
+  auto& clock = bids.epoch_source();
+  ASSERT_EQ(&clock, &asks.epoch_source());
 
   // State at mid m: bids = {m - 1}, asks = {m + 1}. Every step keeps
   // max(bids) < min(asks) at each intermediate instant.
@@ -286,11 +286,11 @@ TEST(OrderBookScenario, SnapshotNeverObservesCrossedBook) {
     }
 
     // Composite snapshot: one cut across BOTH maps.
-    const auto bid_token = bids.snapshot_reserve();
-    const auto ask_token = asks.snapshot_reserve();
+    auto bid_ticket = bids.snapshot_reserve();
+    auto ask_ticket = asks.snapshot_reserve();
     const auto cut = clock.cut();
-    const auto bid_snap = bids.snapshot_adopt(bid_token, cut);
-    const auto ask_snap = asks.snapshot_adopt(ask_token, cut);
+    const auto bid_snap = bids.snapshot_adopt(std::move(bid_ticket), cut);
+    const auto ask_snap = asks.snapshot_adopt(std::move(ask_ticket), cut);
     const auto bb = best_of(bid_snap, /*want_max=*/true);
     const auto ba = best_of(ask_snap, /*want_max=*/false);
     ASSERT_TRUE(bb.has_value());
