@@ -19,7 +19,7 @@
 #      allocation failures and guard stalls with per-phase structural
 #      validation and leak accounting, over the slab pool and over plain
 #      new/delete), then the snapshot campaign and its control repeated
-#      5x in parallel;
+#      as four side-by-side copies of 75 rounds each;
 #   3. the whole-build ThreadSanitizer preset (build-tsan/, iteration
 #      counts scaled down by LOT_STRESS_DIVISOR=20), minus the scan
 #      stress which stage 4 gates explicitly;
@@ -110,15 +110,53 @@ stage_2() {
   needs "$BUILT_DEFAULT" "build/" || return
   (cd build && ctest --output-on-failure -R "$STRESS_RE") \
     || { fail "stress + checker"; return; }
-  # The snapshot campaign and its torn-snapshot control once more, five
-  # times each, uninstrumented and side by side on every core: the MVCC
-  # ordering argument rests on fences TSan cannot model (DESIGN.md §16),
-  # so only parallel hardware runs exercise it, and the control must be
-  # rejected on every repetition.
-  (cd build && ctest --output-on-failure -j "$(nproc)" \
-      -R 'LoSnapshotStress|TornSnapshot' -E '_tsan$' \
-      --repeat until-fail:5) \
-    || fail "snapshot stress repeated 5x"
+  snapshot_loop || fail "loaded snapshot stress loop"
+}
+
+# The snapshot campaign and its torn-snapshot control once more,
+# uninstrumented and loaded: the MVCC ordering argument rests on fences
+# TSan cannot model (DESIGN.md §16), so only parallel hardware runs
+# exercise it, and some of its races show only when the cores are
+# oversubscribed. SNAP_COPIES copies run side by side, each in its own
+# directory with its own history dump, and each runs the campaign then
+# the control SNAP_ROUNDS times. A race that fails one loaded run in 60
+# survives all 4 x 75 = 300 runs with probability (59/60)^300 < 1%; the
+# control must be rejected in every round of every copy. About 130 s on
+# 4 cores.
+SNAP_COPIES=4
+SNAP_ROUNDS=75
+snapshot_loop() {
+  local dir="$PWD/build/snapshot-loop" bin="$PWD/build/tests/stress"
+  rm -rf "$dir"
+  local pids=() c p rc=0
+  for c in $(seq "$SNAP_COPIES"); do
+    mkdir -p "$dir/$c"
+    (
+      cd "$dir/$c" || exit 1
+      export LOT_HISTORY_DUMP="$dir/$c/history.txt"
+      for r in $(seq "$SNAP_ROUNDS"); do
+        "$bin/stress_lo_snapshot" >campaign.log 2>&1 \
+          || { echo "copy $c round $r: LoSnapshotStress failed" >&2; exit 1; }
+        "$bin/stress_lo_torn_snapshot" >control.log 2>&1 \
+          || { echo "copy $c round $r: TornSnapshot control not rejected" >&2
+               exit 1; }
+      done
+    ) &
+    pids+=($!)
+  done
+  for p in "${pids[@]}"; do wait "$p" || rc=1; done
+  if [ "$rc" -eq 0 ]; then
+    echo "snapshot loop: $SNAP_COPIES copies x $SNAP_ROUNDS rounds passed"
+    return 0
+  fi
+  # Keep a failing copy's history where the stage epilogue looks for it.
+  for c in $(seq "$SNAP_COPIES"); do
+    if [ -f "$dir/$c/history.txt" ]; then
+      mv "$dir/$c/history.txt" "$LOT_HISTORY_DUMP"
+      break
+    fi
+  done
+  return 1
 }
 
 stage_3() {

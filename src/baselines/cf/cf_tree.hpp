@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -58,6 +59,25 @@ class CfTreeMap {
   CfTreeMap& operator=(const CfTreeMap&) = delete;
 
   static std::string_view name() { return "crain-cf-tree"; }
+
+  /// Quiescence point for teardown checks: blocks until the maintenance
+  /// thread finishes one full pass, begun after this call, that changed
+  /// nothing (no splice, no rotation), then leaves it parked with no guard
+  /// held until the map is destroyed. A pass over an unchanged tree makes
+  /// the same decisions as the last one, so by then every retire the
+  /// thread will make has been made, and one domain flush reclaims them.
+  /// Call once client operations have stopped for good. Returns false if
+  /// no quiet pass came within 30 s.
+  bool quiesce() {
+    park_requested_.store(true, std::memory_order_release);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!parked_.load(std::memory_order_acquire)) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
 
   bool contains(const K& k) const { return get(k).has_value(); }
 
@@ -241,8 +261,19 @@ class CfTreeMap {
 
   void maintenance_loop() {
     while (!stop_.load(std::memory_order_acquire)) {
-      auto g = domain_->guard();
-      maintain(root_holder_, root_holder_);
+      const bool park = park_requested_.load(std::memory_order_acquire);
+      pass_changed_ = false;
+      {
+        auto g = domain_->guard();
+        maintain(root_holder_, root_holder_);
+      }
+      if (park && !pass_changed_) {
+        parked_.store(true, std::memory_order_release);
+        while (!stop_.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        return;
+      }
       std::this_thread::yield();
     }
   }
@@ -257,7 +288,7 @@ class CfTreeMap {
     if (node != root_holder_ &&
         node->deleted.load(std::memory_order_acquire) &&
         !node->removed.load(std::memory_order_acquire)) {
-      try_splice(parent, node);
+      if (try_splice(parent, node)) pass_changed_ = true;
       // Whether or not the splice won, re-read through the parent below.
     }
 
@@ -275,16 +306,18 @@ class CfTreeMap {
       if (bf >= 2 && l != nullptr) {
         if (height_of(l->right.load(std::memory_order_acquire)) >
             height_of(l->left.load(std::memory_order_acquire))) {
-          try_rotate(node, l, /*right_rotation=*/false);  // inner first
+          // inner first
+          pass_changed_ |= try_rotate(node, l, /*right_rotation=*/false);
         } else {
-          try_rotate(parent, node, /*right_rotation=*/true);
+          pass_changed_ |= try_rotate(parent, node, /*right_rotation=*/true);
         }
       } else if (bf <= -2 && r != nullptr) {
         if (height_of(r->left.load(std::memory_order_acquire)) >
             height_of(r->right.load(std::memory_order_acquire))) {
-          try_rotate(node, r, /*right_rotation=*/true);  // inner first
+          // inner first
+          pass_changed_ |= try_rotate(node, r, /*right_rotation=*/true);
         } else {
-          try_rotate(parent, node, /*right_rotation=*/false);
+          pass_changed_ |= try_rotate(parent, node, /*right_rotation=*/false);
         }
       }
     }
@@ -413,6 +446,9 @@ class CfTreeMap {
   Compare comp_;
   Node* root_holder_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> park_requested_{false};  // quiesce() asked for a park
+  std::atomic<bool> parked_{false};          // the maintenance thread parked
+  bool pass_changed_ = false;  // maintenance thread only: this pass's work
   std::thread maintenance_;
 };
 

@@ -300,7 +300,7 @@ class LoCore {
     const auto tc = obs::tls();
     tc.add(obs::Counter::kRangeOps);
     std::uint64_t reported = 0;
-    const NodeT* node = locate(lo, tc);  // first node with key >= lo
+    const NodeT* node = locate(lo, tc, &hi);  // first node with key >= lo
     while (node != pos_ &&
            (node->tag == Tag::kNegInf || comp_(node->key, hi))) {
       check::perturb_point(check::PerturbPoint::kRangeStep);
@@ -645,7 +645,7 @@ class LoCore {
                                          obs::Tls tc) const {
       std::vector<std::pair<K, V>> out;
       const NodeT* node = lo != nullptr
-                              ? map_->locate(*lo, tc)
+                              ? map_->locate(*lo, tc, hi)
                               : map_->neg_->succ.load(std::memory_order_acquire);
       while (node != map_->pos_ &&
              (node->tag == Tag::kNegInf || hi == nullptr ||
@@ -1549,13 +1549,33 @@ class LoCore {
 
   /// Algorithm 1: plain descent, no locks, no restarts. May stray from its
   /// path under concurrent rotations; the ordering walk compensates.
-  NodeT* search(const K& k, obs::Tls tc = obs::tls()) const {
+  /// A bounded scan of [k, *hi) passes `hi`: the first node on the path
+  /// whose key lies in the window (the split node) gets the window under
+  /// it prefetched (prefetch_window) before the descent goes on to k.
+  NodeT* search(const K& k, obs::Tls tc = obs::tls(),
+                const K* hi = nullptr) const {
     // Counted inside the descent itself — independently of the per-op
     // counters at the call sites — so Snapshot::contains_restarts() is a
     // measured audit, not an identity (DESIGN.md §12). Callers that
     // already hold a Tls handle pass it in; the default resolves one.
     tc.add(obs::Counter::kTreeDescents);
     NodeT* node = root_;
+    // A bounded scan's descent runs to the split node first, and the
+    // loop below goes on from it. Point ops go straight to that loop, so
+    // it carries no per-level window test (EXPERIMENTS.md P5).
+    if (hi != nullptr) {
+      for (;;) {
+        const int c = cmp(node, k);
+        if (c >= 0 && node->tag == Tag::kNormal && comp_(node->key, *hi)) {
+          prefetch_window(node, k, *hi);
+          break;
+        }
+        NodeT* child = c < 0 ? node->right.load(std::memory_order_acquire)
+                             : node->left.load(std::memory_order_acquire);
+        if (child == nullptr) return node;
+        node = child;
+      }
+    }
     for (;;) {
       const int c = cmp(node, k);
       if (c == 0) return node;
@@ -1563,6 +1583,38 @@ class LoCore {
                            : node->left.load(std::memory_order_acquire);
       if (child == nullptr) return node;
       node = child;
+    }
+  }
+
+  /// Nodes a window prefetch may visit: enough for a 64-key window plus
+  /// its fringe on a balanced tree, and a fixed bound on a degenerate one.
+  static constexpr std::size_t kWindowPrefetchBudget = 128;
+
+  /// Window prefetch of a bounded scan (DESIGN.md §11): walks the tree
+  /// region of [lo, hi) under `split` breadth-first — left while the key
+  /// is >= lo, right while it is < hi — and prefetches both lines of every
+  /// child it pushes. The nodes of one level are independent loads, so
+  /// their misses overlap, and the chain walk that follows finds its
+  /// nodes cached instead of paying one dependent miss per key. A hint
+  /// only: no lock, no write, and a frontier of at most
+  /// kWindowPrefetchBudget nodes on the stack, so a spine or a rotation
+  /// racing the walk cannot make it unbounded. Safe to dereference what
+  /// it reaches for the same reason the descent is: the caller's guard.
+  void prefetch_window(const NodeT* split, const K& lo, const K& hi) const {
+    const NodeT* frontier[kWindowPrefetchBudget];
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    frontier[tail++] = split;
+    const auto push = [&](const NodeT* n) {
+      if (n == nullptr || tail == kWindowPrefetchBudget) return;
+      __builtin_prefetch(n);         // key and the chain walk's fields
+      __builtin_prefetch(&n->left);  // the child links this walk reads
+      frontier[tail++] = n;
+    };
+    while (head < tail && tail < kWindowPrefetchBudget) {
+      const NodeT* n = frontier[head++];
+      if (!comp_(n->key, lo)) push(n->left.load(std::memory_order_acquire));
+      if (comp_(n->key, hi)) push(n->right.load(std::memory_order_acquire));
     }
   }
 
@@ -1602,9 +1654,11 @@ class LoCore {
     return node;
   }
 
-  /// Algorithm 2: one descent, then the ordering walk.
-  const NodeT* locate(const K& k, obs::Tls tc = obs::tls()) const {
-    const NodeT* node = search(k, tc);
+  /// Algorithm 2: one descent, then the ordering walk. A bounded scan
+  /// passes its exclusive end `hi` so the descent prefetches the window.
+  const NodeT* locate(const K& k, obs::Tls tc = obs::tls(),
+                      const K* hi = nullptr) const {
+    const NodeT* node = search(k, tc, hi);
     check::perturb_point(check::PerturbPoint::kLocateAfterDescent);
 #if defined(LOT_INJECT_BUG) && LOT_INJECT_BUG == 1
     // Intentionally broken linearization (checker negative control): trust

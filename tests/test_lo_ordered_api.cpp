@@ -152,6 +152,133 @@ TYPED_TEST(OrderedApiTest, RangeDifferentialVsStdMap) {
   }
 }
 
+// Bounded scans prefetch their window during the one descent to lo
+// (DESIGN.md §11, window prefetch). These pin what that must not change:
+// the result of every window shape against std::map, and the descent
+// count.
+
+std::vector<K> oracle_window(const std::map<K, V>& oracle, K lo, K hi) {
+  std::vector<K> keys;
+  for (auto it = oracle.lower_bound(lo); it != oracle.end() && it->first < hi;
+       ++it) {
+    keys.push_back(it->first);
+  }
+  return keys;
+}
+
+/// Checks the live range, the snapshot range and the snapshot's bounded
+/// cursor over [lo, hi) against the oracle.
+template <typename MapT>
+void expect_window(const MapT& m, const std::map<K, V>& oracle, K lo, K hi) {
+  const std::vector<K> expect = oracle_window(oracle, lo, hi);
+  std::vector<K> live;
+  m.range(lo, hi, [&](K k, V v) {
+    live.push_back(k);
+    EXPECT_EQ(v, oracle.at(k));
+  });
+  EXPECT_EQ(live, expect) << "live [" << lo << "," << hi << ")";
+  const auto view = m.snapshot();
+  std::vector<K> snap;
+  view.range(lo, hi, [&](K k, V v) {
+    snap.push_back(k);
+    EXPECT_EQ(v, oracle.at(k));
+  });
+  EXPECT_EQ(snap, expect) << "snapshot [" << lo << "," << hi << ")";
+  std::vector<K> cursor;
+  auto c = view.cursor(lo, hi);
+  while (auto kv = c.next()) cursor.push_back(kv->first);
+  EXPECT_EQ(cursor, expect) << "snapshot cursor [" << lo << "," << hi << ")";
+}
+
+TYPED_TEST(OrderedApiTest, BoundedScanCountsOneDescent) {
+  using lot::obs::Counter;
+  const auto descents = [] {
+    return lot::obs::counter_total(Counter::kTreeDescents);
+  };
+  TypeParam m;
+  Xoshiro256 rng(21);
+  for (int i = 0; i < 2'000; ++i) m.insert(rng.next_in(0, 3'999), i);
+
+  std::uint64_t d0 = descents();
+  std::size_t seen = 0;
+  m.range(1'000, 1'400, [&](K, V) { ++seen; });
+  EXPECT_EQ(descents() - d0, 1u) << "live range";
+  EXPECT_GT(seen, 0u);
+
+  const auto view = m.snapshot();
+  d0 = descents();
+  view.range(1'000, 1'400, [](K, V) {});
+  EXPECT_EQ(descents() - d0, 1u) << "snapshot range";
+}
+
+TYPED_TEST(OrderedApiTest, WindowShapesMatchStdMap) {
+  TypeParam m;
+  std::map<K, V> oracle;
+  Xoshiro256 rng(22);
+  // Even keys only, so every odd key is a gap between two present keys.
+  for (int i = 0; i < 1'500; ++i) {
+    const K k = 2 * rng.next_in(0, 1'499);
+    if (oracle.emplace(k, k * 7).second) ASSERT_TRUE(m.insert(k, k * 7));
+  }
+  const K min = oracle.begin()->first;
+  const K max = oracle.rbegin()->first;
+
+  // Wider than the prefetch budget: the chain walk finishes the window
+  // past what the prefetch reached.
+  expect_window(m, oracle, min, max + 1);
+  expect_window(m, oracle, -1'000, 10'000);
+  expect_window(m, oracle, 100, 1'900);
+  // Empty windows strictly between two present keys: no node of the
+  // window exists, so none lies on the descent path.
+  for (int i = 0; i < 50; ++i) {
+    const auto it = std::next(
+        oracle.begin(),
+        static_cast<std::ptrdiff_t>(rng.next_below(oracle.size() - 1)));
+    const K a = it->first;
+    const K b = std::next(it)->first;
+    if (b - a >= 2) expect_window(m, oracle, a + 1, b);
+  }
+  // Below min and above max, touching and straddling each end.
+  expect_window(m, oracle, min - 100, min);
+  expect_window(m, oracle, min - 100, min + 1);
+  expect_window(m, oracle, max + 1, max + 100);
+  expect_window(m, oracle, max, max + 100);
+  // Random windows of every width after a burst of erases, so the tree
+  // holds nodes (zombies on the logical-removing maps) whose keys are
+  // no longer present.
+  for (int i = 0; i < 600; ++i) {
+    const K k = 2 * rng.next_in(0, 1'499);
+    if (oracle.erase(k) != 0) ASSERT_TRUE(m.erase(k));
+  }
+  for (int i = 0; i < 200; ++i) {
+    const K lo = rng.next_in(-10, 3'000);
+    const K hi = lo + rng.next_in(1, i % 2 == 0 ? 40 : 1'000);
+    expect_window(m, oracle, lo, hi);
+  }
+}
+
+// A sorted insert leaves the unbalanced BST a spine: every window's
+// region under the split node is a path as long as the window, which
+// the prefetch must cut at its budget and the scan must still finish.
+TYPED_TEST(OrderedApiTest, SpineWindowsScanAndTerminate) {
+  TypeParam m;
+  std::map<K, V> oracle;
+  for (K k = 0; k < 1'000; ++k) {
+    ASSERT_TRUE(m.insert(k, k));
+    oracle.emplace(k, k);
+  }
+  for (K k = -1; k >= -1'000; --k) {  // a second spine, leaning left
+    ASSERT_TRUE(m.insert(k, k));
+    oracle.emplace(k, k);
+  }
+  expect_window(m, oracle, -1'000, 1'000);
+  expect_window(m, oracle, 10, 500);
+  expect_window(m, oracle, -500, -10);
+  expect_window(m, oracle, -300, 300);
+  expect_window(m, oracle, 998, 2'000);
+  expect_window(m, oracle, 5, 6);
+}
+
 TYPED_TEST(OrderedApiTest, FirstLastInRangeBasics) {
   TypeParam m;
   EXPECT_FALSE(m.first_in_range(0, 100).has_value());
