@@ -20,12 +20,20 @@
 //                              churn, pricing the k-way merge (k pinned
 //                              epochs per scan) as k grows.
 //
+// Pairing: the four arms each prefill one map per (workload, threads)
+// cell and take turns on their maps, x1 then x2, x4 and x8, --repeats
+// rounds (default 10) with one trial seed per round. Identical x1 code
+// spread 4.55-6.06 Mop/s across unpaired runs on a 4-core box, more than
+// the arms differ, so every round's x8/x1 ratio compares two trials
+// seconds apart, and the table reports the median and quartiles of those
+// ratios beside the per-arm medians.
+//
 // After the table sweep, a per-shard diagnostic trial at max threads
 // prints router + domain odometers for the x8 uniform and zipf cells: in
 // the zipf arm the cold shards' contention events must stay near zero
 // while shard 0 absorbs the pressure — that isolation is the claim this
 // ablation exists to price, and it is only visible at shard granularity,
-// not in the aggregate obs column.
+// not in the aggregate throughput.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -35,9 +43,9 @@
 
 #include "bench/common.hpp"
 #include "lo/avl.hpp"
-#include "obs/obs.hpp"
 #include "shard/sharded_map.hpp"
 #include "util/cli.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -72,6 +80,46 @@ void per_shard_diagnostic(const lot::workload::Spec& spec,
   }
 }
 
+/// Runs one (spec, threads) cell: one prefilled map per arm, then
+/// `cfg.repeats` rounds of x1, x2, x4 and x8 trials on them with one seed
+/// per round. Fills `arms` with the four arms' cells, in that order, and
+/// returns the per-round x8/x1 ratios.
+std::vector<double> run_paired_cell(const lot::workload::Spec& spec,
+                                    const lot::bench::TableConfig& cfg,
+                                    unsigned threads,
+                                    std::vector<lot::bench::Cell>& arms) {
+  Sharded<1> x1;
+  Sharded<2> x2;
+  Sharded<4> x4;
+  Sharded<8> x8;
+  lot::workload::prefill(x1, spec, threads, cfg.seed);
+  lot::workload::prefill(x2, spec, threads, cfg.seed);
+  lot::workload::prefill(x4, spec, threads, cfg.seed);
+  lot::workload::prefill(x8, spec, threads, cfg.seed);
+  arms.assign(4, lot::bench::Cell{});
+  std::vector<double> ratios;
+  for (int rep = 0; rep < cfg.repeats; ++rep) {
+    const std::uint64_t seed = cfg.seed + 1 + static_cast<std::uint64_t>(rep);
+    const auto trial = [&](auto& map) {
+      return lot::workload::run_trial(map, spec, threads, cfg.secs, seed)
+          .mops_per_sec;
+    };
+    const double base = trial(x1);
+    arms[0].samples.push_back(base);
+    arms[1].samples.push_back(trial(x2));
+    arms[2].samples.push_back(trial(x4));
+    arms[3].samples.push_back(trial(x8));
+    ratios.push_back(arms[3].samples.back() / base);
+  }
+  for (auto& cell : arms) {
+    const auto sum = lot::util::summarize(cell.samples);
+    cell.median = lot::util::percentile(cell.samples, 50.0);
+    cell.min = sum.min;
+    cell.max = sum.max;
+  }
+  return ratios;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -81,10 +129,10 @@ int main(int argc, char** argv) {
   // One contended range: the layer exists for write contention, and the
   // 20k cell is where a single tree's interval locks actually collide.
   if (!cli.has("ranges") && !cli.has("paper")) cfg.key_ranges = {20'000};
-  // The router stats and per-domain odometers are the experiment's
-  // subject, not an optional column.
-  cfg.obs = true;
+  if (!cli.has("repeats") && !cli.has("paper")) cfg.repeats = 10;
   lot::bench::JsonReport report;
+  const std::vector<std::string> names = {"lo-avl-x1", "lo-avl-x2",
+                                          "lo-avl-x4", "lo-avl-x8"};
 
   for (const auto range : cfg.key_ranges) {
     const auto uniform =
@@ -103,15 +151,30 @@ int main(int argc, char** argv) {
     for (const auto& spec : {uniform, zipf, scans}) {
       lot::bench::print_cell_header("Shard ablation", spec);
       std::vector<std::pair<std::string, lot::bench::Series>> series;
-      series.emplace_back("lo-avl-x1",
-                          lot::bench::run_series<Sharded<1>>(spec, cfg));
-      series.emplace_back("lo-avl-x2",
-                          lot::bench::run_series<Sharded<2>>(spec, cfg));
-      series.emplace_back("lo-avl-x4",
-                          lot::bench::run_series<Sharded<4>>(spec, cfg));
-      series.emplace_back("lo-avl-x8",
-                          lot::bench::run_series<Sharded<8>>(spec, cfg));
+      for (const auto& name : names) {
+        series.emplace_back(name, lot::bench::Series{});
+      }
+      std::vector<std::vector<double>> ratios;
+      for (const auto threads : cfg.threads) {
+        std::vector<lot::bench::Cell> arms;
+        ratios.push_back(run_paired_cell(
+            spec, cfg, static_cast<unsigned>(threads), arms));
+        for (std::size_t a = 0; a < arms.size(); ++a) {
+          series[a].second.push_back(std::move(arms[a]));
+        }
+      }
       lot::bench::print_series_table(cfg.threads, series);
+      std::printf("  x8/x1 per round: median [q1..q3], rounds x8 ahead\n");
+      for (std::size_t i = 0; i < cfg.threads.size(); ++i) {
+        const auto& r = ratios[i];
+        std::size_t ahead = 0;
+        for (const double x : r) ahead += x > 1.0 ? 1 : 0;
+        std::printf("%8lld  %6.3f [%6.3f..%6.3f]  %zu of %zu\n",
+                    static_cast<long long>(cfg.threads[i]),
+                    lot::util::percentile(r, 50.0),
+                    lot::util::percentile(r, 25.0),
+                    lot::util::percentile(r, 75.0), ahead, r.size());
+      }
       for (const auto& [name, cells] : series) {
         report.add("ablation_shard", spec, cfg, name, cells);
       }

@@ -184,11 +184,10 @@ int main() {
   }
 
   // What the run cost, from the tree's own telemetry (obs/ layer): insert
-  // and erase restart rates, rotations, EBR/pool gauges, the overload
-  // governor's published health state (expected: healthy, 0 transitions —
-  // a matching engine that degrades under its own benchmark has a
-  // calibration bug) — and the derived contains_restarts audit, which
-  // must read 0 because min()/max() and range() never re-descend.
+  // and erase restart rates, rotations, EBR/pool gauges (expected: no
+  // stalled record and a backlog far below the high-water mark) — and
+  // the derived contains_restarts audit, which must read 0 because
+  // min()/max() and range() never re-descend.
   std::printf("\n");
   std::fputs(lot::obs::Registry::instance().snapshot().to_text().c_str(),
              stdout);

@@ -22,12 +22,14 @@
 #                  (EXPERIMENTS.md A9)
 #   BENCH_7.json — governor ablation, policies on vs off in calm weather
 #                  and under a guard-stall storm plateau; kept as a record
-#                  only (its bench binary is gone: the policies it priced
-#                  were deleted, EXPERIMENTS.md A10)
+#                  only: its bench binary and the overload governor itself
+#                  are gone (EXPERIMENTS.md A10)
 #   BENCH_8.json — shard ablation (ablation_shard): ShardedMap at
 #                  shards ∈ {1,2,4,8} over the contended update-heavy mix,
 #                  uniform / Zipf(0.99) hot-shard / 10%-scan arms, plus the
-#                  per-shard isolation diagnostic in the stdout log
+#                  per-shard isolation diagnostic and the paired per-round
+#                  x8/x1 ratios in the stdout log; the committed file
+#                  predates the pairing and its obs columns are gone
 #   BENCH_10.json — MVCC snapshot ablation (ablation_mvcc): weak vs
 #                  snapshot vs coarse-rwlock scans over the scan-length
 #                  sweep; the committed file is kept as a record and also

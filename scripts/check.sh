@@ -18,8 +18,10 @@
 #      be *rejected*, plus the LOT_FAULT_INJECT campaign (seeded
 #      allocation failures and guard stalls with per-phase structural
 #      validation and leak accounting, over the slab pool and over plain
-#      new/delete), then the snapshot campaign and its control repeated
-#      as four side-by-side copies of 75 rounds each;
+#      new/delete), plus the storm campaign (EBR backpressure draining a
+#      cleared wedge under churn), then the snapshot campaign and its
+#      control, and the competitor concurrency suites, each repeated as
+#      four side-by-side copies of 75 rounds;
 #   3. the whole-build ThreadSanitizer preset (build-tsan/, iteration
 #      counts scaled down by LOT_STRESS_DIVISOR=20), minus the scan
 #      stress which stage 4 gates explicitly;
@@ -33,15 +35,12 @@
 #      linearizability checks;
 #   6. the chaos storm campaign under TSan: the seeded fault-storm
 #      envelope (ramp/hold/release allocation failures + guard-stall
-#      swarms + a pinned-epoch straggler) with the overload governor
-#      required to degrade and then, through its one policy (a sample at
-#      Degraded or worse flushes the caller's domain), recover within its
-#      documented bound, every access instrumented — the governor's
-#      sampling and flushes, the storm scheduler's rate updates and the
-#      faulted write paths all race by design, and this stage proves they
-#      race benignly. Its policies-off arm (also run uninstrumented in
-#      stage 2) rides out the same weather without the flush, breaking
-#      the bound but never correctness;
+#      swarms + a pinned-epoch straggler), then the straggler's release
+#      under churn, with the frozen backlog required to drain below the
+#      high-water mark through the workers' own retires within a
+#      wall-clock bound, every access instrumented — the storm
+#      scheduler's rate updates, the watchdog and the faulted write paths
+#      all race by design, and this stage proves they race benignly;
 #   7. the sharded-layer gate: the ShardedMap linearizability campaign
 #      under TSan (router + k-way merge + per-shard EBR domains, every
 #      access instrumented) plus the shards=1 degenerate-equivalence
@@ -110,53 +109,88 @@ stage_2() {
   needs "$BUILT_DEFAULT" "build/" || return
   (cd build && ctest --output-on-failure -R "$STRESS_RE") \
     || { fail "stress + checker"; return; }
-  snapshot_loop || fail "loaded snapshot stress loop"
+  local rc=0
+  snapshot_loop || { fail "loaded snapshot stress loop"; rc=1; }
+  baseline_loop || { fail "loaded baseline concurrency loop"; rc=1; }
+  return "$rc"
 }
 
-# The snapshot campaign and its torn-snapshot control once more,
-# uninstrumented and loaded: the MVCC ordering argument rests on fences
-# TSan cannot model (DESIGN.md §16), so only parallel hardware runs
-# exercise it, and some of its races show only when the cores are
-# oversubscribed. SNAP_COPIES copies run side by side, each in its own
-# directory with its own history dump, and each runs the campaign then
-# the control SNAP_ROUNDS times. A race that fails one loaded run in 60
-# survives all 4 x 75 = 300 runs with probability (59/60)^300 < 1%; the
-# control must be rejected in every round of every copy. About 130 s on
-# 4 cores.
-SNAP_COPIES=4
-SNAP_ROUNDS=75
-snapshot_loop() {
-  local dir="$PWD/build/snapshot-loop" bin="$PWD/build/tests/stress"
+# Runs <copies> side-by-side copies of <rounds> rounds, each copy in its
+# own directory under build/<name>/ with its own history dump. A round
+# runs each <command> in turn: a test binary under build/tests/ plus its
+# arguments (globbing off, so gtest filters pass through), stopped after
+# 600 s like a ctest test, so a hang fails the loop instead of blocking
+# the gate. Any failure fails the loop; the first failing copy's history
+# dump is moved to where the stage epilogue looks for it.
+repeat_loop() {  # repeat_loop <name> <copies> <rounds> <command>...
+  local name="$1" copies="$2" rounds="$3"
+  shift 3
+  local dir="$PWD/build/$name" bin="$PWD/build/tests"
   rm -rf "$dir"
   local pids=() c p rc=0
-  for c in $(seq "$SNAP_COPIES"); do
+  for c in $(seq "$copies"); do
     mkdir -p "$dir/$c"
     (
+      set -f
       cd "$dir/$c" || exit 1
       export LOT_HISTORY_DUMP="$dir/$c/history.txt"
-      for r in $(seq "$SNAP_ROUNDS"); do
-        "$bin/stress_lo_snapshot" >campaign.log 2>&1 \
-          || { echo "copy $c round $r: LoSnapshotStress failed" >&2; exit 1; }
-        "$bin/stress_lo_torn_snapshot" >control.log 2>&1 \
-          || { echo "copy $c round $r: TornSnapshot control not rejected" >&2
-               exit 1; }
+      for r in $(seq "$rounds"); do
+        for cmd in "$@"; do
+          local log
+          log="$(basename "${cmd%% *}").log"
+          timeout 600 "$bin"/$cmd >"$log" 2>&1 \
+            || { echo "$name: copy $c round $r: $cmd failed" >&2; exit 1; }
+        done
       done
     ) &
     pids+=($!)
   done
   for p in "${pids[@]}"; do wait "$p" || rc=1; done
   if [ "$rc" -eq 0 ]; then
-    echo "snapshot loop: $SNAP_COPIES copies x $SNAP_ROUNDS rounds passed"
+    echo "$name: $copies copies x $rounds rounds passed"
     return 0
   fi
-  # Keep a failing copy's history where the stage epilogue looks for it.
-  for c in $(seq "$SNAP_COPIES"); do
+  for c in $(seq "$copies"); do
     if [ -f "$dir/$c/history.txt" ]; then
       mv "$dir/$c/history.txt" "$LOT_HISTORY_DUMP"
       break
     fi
   done
   return 1
+}
+
+# The snapshot campaign and its torn-snapshot control once more,
+# uninstrumented and loaded: the MVCC ordering argument rests on fences
+# TSan cannot model (DESIGN.md §16), so only parallel hardware runs
+# exercise it, and some of its races show only when the cores are
+# oversubscribed. A race that fails one loaded run in 60 survives all
+# 4 x 75 = 300 runs with probability (59/60)^300 < 1%; the control
+# (it passes when the checker rejects) must be rejected in every round of
+# every copy. About 130 s on 4 cores.
+SNAP_COPIES=4
+SNAP_ROUNDS=75
+snapshot_loop() {
+  repeat_loop snapshot-loop "$SNAP_COPIES" "$SNAP_ROUNDS" \
+    stress/stress_lo_snapshot stress/stress_lo_torn_snapshot
+}
+
+# The competitor concurrency suites, loaded the same way (ROADMAP 1(a)):
+# the baseline bugs fixed before this loop existed failed 2 to 17 isolated
+# runs in 20 (EFRB and HJ SingleKeyContention, Chromatic
+# SharedKeyspaceMixedStress, CF DifferentialVsStdMap) and the skip list
+# about 1 in 150. A 1-in-20 race survives 4 x 75 = 300 runs with
+# probability (19/20)^300 < 10^-6, a 1-in-150 one with 13%. A round runs
+# those three BaselineTest suites over all seven competitors (the skip
+# list included), the CF sweep tests, the Chromatic and CF property grids
+# and the skip-list structure tests. About 140 s on 4 cores.
+BASE_COPIES=4
+BASE_ROUNDS=75
+BASE_FILTER='BaselineTest/*.SingleKeyContention:BaselineTest/*.SharedKeyspaceMixedStress:BaselineTest/*.DifferentialVsStdMap:CfTreeSweep.*'
+baseline_loop() {
+  repeat_loop baseline-loop "$BASE_COPIES" "$BASE_ROUNDS" \
+    "test_baselines --gtest_filter=$BASE_FILTER" \
+    "test_baseline_properties --gtest_filter=*ChromaticProperty*:*CfTreeProperty*" \
+    test_skiplist_structure
 }
 
 stage_3() {

@@ -400,16 +400,24 @@ class CfTreeMap {
   /// greatest key swept so far, and only keys above it are visited, so a
   /// sweep with no concurrent client update sees each key exactly once
   /// even while the maintenance thread rotates.
+  ///
+  /// A node at or below `last` has its whole left subtree swept too, so
+  /// the sweep goes straight on to its right. Walking that subtree again
+  /// finds nothing, and it is not cheap: a rotated-away original and its
+  /// clone both lead to the same subtree, so a sweep parked in retired
+  /// fragments re-walks it once per path, and the paths multiply with
+  /// every rotation that ran under the sweep.
   template <typename F>
   void visit(const Node* n, F& fn, const K*& last) const {
-    if (n == nullptr) return;
-    visit(n->left.load(std::memory_order_acquire), fn, last);
-    if (last == nullptr || comp_(*last, n->key)) {
-      last = &n->key;
-      const V v = n->value.load(std::memory_order_acquire);
-      if (!n->deleted.load(std::memory_order_acquire)) fn(n->key, v);
+    for (; n != nullptr; n = n->right.load(std::memory_order_acquire)) {
+      if (last != nullptr && !comp_(*last, n->key)) continue;
+      visit(n->left.load(std::memory_order_acquire), fn, last);
+      if (last == nullptr || comp_(*last, n->key)) {
+        last = &n->key;
+        const V v = n->value.load(std::memory_order_acquire);
+        if (!n->deleted.load(std::memory_order_acquire)) fn(n->key, v);
+      }
     }
-    visit(n->right.load(std::memory_order_acquire), fn, last);
   }
 
   static bool visit_until(const Node* n, bool left,

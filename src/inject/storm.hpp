@@ -11,15 +11,17 @@
 //   over release_ms, then 0 (storm over).
 //
 // The recovery campaign (tests/stress/stress_lo_storm.cpp) asserts two
-// different things on the two sides of that envelope: linearizability and
-// bounded obs drift *during* the storm, and the governor's return to
-// Healthy within its recovery bound *after* release.
+// different things on the two sides of that envelope: a frozen backlog
+// and a reported straggler *during* the storm, and EBR backpressure
+// draining that backlog within a wall-clock bound once the straggler
+// releases *after* it; linearizability and exact obs reconciliation hold
+// across both.
 //
 // Determinism: which operations fail is decided by inject.hpp's seeded
 // per-thread streams; the scheduler only modulates the rates. The envelope
 // itself is wall-clock-phased, so storm runs are statistically — not
 // bitwise — reproducible; the campaign's assertions are envelope-level
-// (states reached, recovery bound, exact reconciliation) rather than
+// (backlog marks, recovery bound, exact reconciliation) rather than
 // event-level for exactly that reason.
 //
 // Idiom matches inject.hpp: everything compiles away without

@@ -87,7 +87,6 @@
 #include <vector>
 
 #include "check/perturb.hpp"
-#include "health/governor.hpp"
 #include "inject/inject.hpp"
 #include "lo/detail.hpp"
 #include "lo/mvcc.hpp"
@@ -787,9 +786,6 @@ class LoCore {
   /// Allocation failure (std::bad_alloc) offers the strong guarantee with
   /// either policy; see the header comment for the per-policy discipline.
   bool insert(const K& k, const V& v) {
-    // Governor tick before the guard: a tick's flush must not be held
-    // back by this thread's own pin (health/governor.hpp).
-    health::maybe_sample_tick(*domain_);
     auto g = domain_->guard();
     inject::stall_point(inject::Site::kGuardStallWriter);
     const auto tc = obs::tls();
@@ -975,7 +971,7 @@ class LoCore {
       }
       // Failed attempt: either the interval moved under us or p no longer
       // sits below k at all (it was unlinked and the walk strayed).
-      detail::note_contention(*domain_);
+      domain_->note_contention_event();
       if (resumes++ < budget) {
         // Resume in place: p's chain pointers stay valid (EBR keeps the
         // node alive, removed nodes keep outgoing pointers), so the
@@ -999,8 +995,6 @@ class LoCore {
   /// the only allocation is the retire-list bookkeeping inside
   /// EbrDomain::retire, which is OOM-safe (DESIGN.md §9).
   bool erase(const K& k) {
-    // Governor tick before the guard; see insert().
-    health::maybe_sample_tick(*domain_);
     auto g = domain_->guard();
     inject::stall_point(inject::Site::kGuardStallWriter);
     const auto tc = obs::tls();
@@ -1092,7 +1086,7 @@ class LoCore {
       }
       // Failed attempt: resume from the captured predecessor, or fall
       // back to a full re-descent once the budget runs out (see insert()).
-      detail::note_contention(*domain_);
+      domain_->note_contention_event();
       if (resumes++ < budget) {
         tc.add(obs::Counter::kLocateResumes);
         node = p;
@@ -1751,7 +1745,7 @@ class LoCore {
     for (;;) {
       if (!first) {
         obs::count(obs::Counter::kRemovalLockRetries);
-        detail::note_contention(*domain_);
+        domain_->note_contention_event();
       }
       first = false;
       backoff.pause();

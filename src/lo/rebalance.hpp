@@ -23,7 +23,6 @@
 #include <utility>
 
 #include "check/perturb.hpp"
-#include "health/governor.hpp"
 #include "lo/detail.hpp"
 #include "lo/node.hpp"
 #include "obs/counters.hpp"
@@ -31,16 +30,6 @@
 #include "sync/backoff.hpp"
 
 namespace lot::lo::detail {
-
-/// One contention event (validation failure, lock retry, rebalance
-/// try-lock restart) observed by the calling thread. Feeds the governor's
-/// process-wide odometer (health/governor.hpp) and the per-domain odometer
-/// of the map the event happened in, so a sharded map shows which shard
-/// is contended.
-inline void note_contention(reclaim::EbrDomain& domain) {
-  health::note_contention();
-  domain.note_contention_event();
-}
 
 /// Algorithm 14. On entry: node tree-locked, parent tree-locked or null,
 /// child lock NOT held. Releases parent, then cycles node's lock until it
@@ -52,7 +41,7 @@ template <typename N>
 bool restart_balance(reclaim::EbrDomain& domain, N* node, N*& parent,
                      N*& child) {
   obs::count(obs::Counter::kBalanceRestarts);
-  note_contention(domain);
+  domain.note_contention_event();
   if (parent != nullptr) {
     parent->tree_lock.unlock();
     parent = nullptr;

@@ -58,7 +58,6 @@ Snapshot Registry::snapshot(const reclaim::EbrDomain* domain) const {
     row.stalled_now = st.stalled_now;
     s.domains.push_back(row);
   });
-  s.health = health::view();
   s.live_nodes = reclaim::AllocStats::live();
   s.counter_shards = counter_shards();
   return s;
@@ -115,10 +114,6 @@ std::string Snapshot::to_text() const {
             d.uid, d.epoch, d.epoch_lag, d.pending_retired, d.backlog_peak,
             d.contention_events, d.stalled_now ? "true" : "false");
   }
-  appendf(out, "  health=%s transitions=%" PRIu64 " ticks=%" PRIu64
-               " contention_events=%" PRIu64 "\n",
-          health::state_name(health.state), health.transitions, health.ticks,
-          health.contention_events);
   appendf(out, "  pool: slabs=%" PRIu64 " huge_chunks=%" PRIu64
                " allocs=%" PRIu64 " frees=%" PRIu64
                " remote_frees=%" PRIu64 " harvests=%" PRIu64 "\n",
@@ -169,12 +164,6 @@ std::string Snapshot::to_json() const {
           ebr.backlog_steals, ebr.emergency_leaks, ebr.stall_watchdog_fires,
           ebr.stalled_now ? "true" : "false",
           ebr.pool.fallback_outstanding());
-  appendf(out, "\"health_state\": \"%s\", \"health_state_level\": %u, "
-               "\"health_transitions\": %" PRIu64 ", \"health_ticks\": %" PRIu64
-               ", \"health_contention_events\": %" PRIu64 ", ",
-          health::state_name(health.state),
-          static_cast<unsigned>(health.state), health.transitions,
-          health.ticks, health.contention_events);
   appendf(out, "\"pool_slabs\": %" PRIu64 ", \"pool_huge_chunks\": %" PRIu64
                ", \"pool_allocs\": %" PRIu64
                ", \"pool_frees\": %" PRIu64 ", \"pool_remote_frees\": %" PRIu64

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "health/governor.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "reclaim/ebr.hpp"
@@ -46,13 +45,20 @@ struct Snapshot {
   std::array<HistogramStats, kOpKindCount> latency{};
   reclaim::EbrDomain::Stats ebr{};    // incl. PoolSnapshot gauges
   std::vector<DomainRow> domains;     // every live domain, global included
-  health::View health{};              // governor state + odometers
+  /// Dead ledger row, always 0: perfbench's `health.transitions` still
+  /// compiles against it, but no health state exists to transition
+  /// (reclamation pressure is EBR's own, DESIGN.md §9). Drop it with
+  /// `rebalance.deferred_per_kop` in the next change that is allowed to
+  /// touch the benchmark.
+  struct {
+    std::uint64_t transitions = 0;
+  } health;
   std::uint64_t live_nodes = 0;       // AllocStats::live()
   std::size_t counter_shards = 0;
 
   /// Aggregates over `domains` — the process-wide reclamation picture no
   /// single domain's Stats can give once maps stop sharing one domain.
-  /// Same fold the health governor samples (sum backlog, worst lag/stall).
+  /// Sum the backlog; lag and stall take the worst domain.
   std::size_t total_pending_retired() const {
     std::size_t n = 0;
     for (const DomainRow& d : domains) n += d.pending_retired;

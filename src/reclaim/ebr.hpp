@@ -111,10 +111,10 @@ class EbrDomain {
   /// not its attempt count. The default sits above the round-robin
   /// latency of an oversubscribed-but-healthy box (threads × scheduler
   /// slice can reach tens of ms on small CI machines) so routine
-  /// preemption does not flap the governor; a genuinely wedged reader is
-  /// stuck for far longer, and the epoch-lag persistence signal in the
-  /// governor covers the window below this line. 0 restores attempt-only
-  /// semantics (tests).
+  /// preemption does not raise the stall flag; a genuinely wedged reader
+  /// is stuck for far longer. Below this line a pin shows only as
+  /// Stats::epoch_lag, and backpressure bounds the backlog it causes
+  /// either way. 0 restores attempt-only semantics (tests).
   static constexpr std::uint64_t kDefaultStallReportUs = 50'000;
   /// While a straggler pins the epoch, only every N-th over-high-water
   /// retire pays for the forced advance attempt (the attempt is a full
@@ -135,10 +135,10 @@ class EbrDomain {
   /// Enumerates every live domain (including global_domain() once it has
   /// been touched) under the registry mutex — safe against concurrent
   /// construction/destruction because the destructor unregisters *before*
-  /// it starts tearing the domain down. Multi-domain consumers (the
-  /// overload governor, the obs snapshot) use this instead of assuming
-  /// the global domain is the only one; sharded maps register one domain
-  /// per shard. `fn` must not construct or destroy domains (deadlock).
+  /// it starts tearing the domain down. Multi-domain consumers (the obs
+  /// snapshot) use this instead of assuming the global domain is the only
+  /// one; sharded maps register one domain per shard. `fn` must not
+  /// construct or destroy domains (deadlock).
   template <typename F>
   static void for_each_domain(F&& fn) {
     for_each_domain_impl(
@@ -152,7 +152,7 @@ class EbrDomain {
   std::uint64_t uid() const { return uid_; }
 
   /// Shard-scoped contention odometer (ROADMAP 2(c)). The write paths
-  /// (lo/rebalance.hpp note_contention) attribute contention events to the
+  /// (lo/core.hpp, lo/rebalance.hpp) attribute contention events to the
   /// domain the structure retires through, so a hot shard's pressure is
   /// visible per shard instead of dissolving into one process-wide number.
   /// Relaxed: this is monotonic telemetry.
@@ -312,8 +312,9 @@ class EbrDomain {
     std::uint64_t backlog_steals = 0;     // entries adopted by flush()
     std::uint64_t emergency_leaks = 0;    // OOM'd retire bookkeeping
     std::uint64_t stall_watchdog_fires = 0;
-    /// Shard-scoped contention odometer (note_contention_event) — the
-    /// per-domain view of the governor's process-wide odometer.
+    /// Shard-scoped contention odometer (note_contention_event): one
+    /// event per failed validation, removal-lock retry or rebalance
+    /// restart on a map that retires through this domain.
     std::uint64_t contention_events = 0;
     bool stalled_now = false;
     std::size_t stalled_record = static_cast<std::size_t>(-1);

@@ -6,7 +6,7 @@
 //  * a private EbrDomain — one shard's stalled reader or retire backlog
 //    pins that shard's epoch only; the other shards keep reclaiming.
 //    Writers' contention events are counted on the shard's domain too
-//    (lo/rebalance.hpp note_contention), so a hot shard shows up in its
+//    (EbrDomain::note_contention_event), so a hot shard shows up in its
 //    own domain's odometer;
 //  * a private SizePool (when the inner map's Alloc is pool-backed) —
 //    remote-free traffic and slab growth stay shard-local instead of all

@@ -1,29 +1,29 @@
-// Chaos storm + recovery campaign for the overload governor (DESIGN.md
-// §14, EXPERIMENTS.md A10). One run per LO variant:
+// Chaos storm + recovery campaign for EBR's own backpressure (DESIGN.md
+// §9, EXPERIMENTS.md A10). One run per LO variant:
 //
 //   1. Recorded churn from N workers while a StormScheduler drives seeded
 //      allocation faults and guard-stall swarms through a ramp/hold/release
-//      envelope, AND a dedicated straggler thread pins an epoch for the
-//      whole storm — the worst weather the process models: memory failing,
-//      readers preempted, reclamation wedged.
-//   2. During the storm the governor must react (state reaches Degraded or
-//      worse: the straggler trips the EBR stall watchdog and the frozen
-//      epoch piles up retire backlog past the storm thresholds).
-//   3. The storm releases, the straggler unpins, and the governor must
-//      walk back to Healthy within its documented recovery_bound() of
-//      explicit sample ticks while its flushes collapse the backlog
-//      under the high-water mark.
+//      envelope, AND a dedicated straggler thread pins an epoch from
+//      before the first worker op — the worst weather the process models:
+//      memory failing, readers preempted, reclamation wedged.
+//   2. Once the envelope has played out, with the straggler still pinned
+//      and the workers still churning, the frozen epoch must have piled a
+//      retire backlog past the high-water mark and the stall watchdog
+//      must report the straggler.
+//   3. The straggler unpins while the workers keep churning, and the
+//      backlog must fall below the high-water mark within a wall-clock
+//      bound. Nothing but the workers' own retires drains it: past the
+//      mark every retire forces advance+free, re-armed the moment the
+//      epoch moves. No flush() runs until the quiescent cleanup.
 //   4. Quiescent: repair_balance converges, structural validation is
 //      clean, the recorded history is linearizable (faults included — an
 //      OOM'd insert records nothing and must have changed nothing), and
 //      the obs counters reconcile exactly against the history.
 //
-// The negative control (GovernorPoliciesOffViolatesRecoveryBound) runs the
-// same weather with the governor's flush disabled and the thresholds
-// unreachable — the ungoverned arm, from the same binary. The tree still survives (linearizable: the governor is a
-// performance/robustness layer, never a correctness dependency), but the
-// backlog does NOT collapse within the recovery bound: the difference the
-// governor makes, stated as a test.
+// The workers run until a stop flag, never to an op cap: a worker that
+// had finished its ops before the release would leave the backlog frozen
+// and the recovery unproven. Each worker's history log is sized for
+// several times the expected run; an overflow fails the run.
 //
 // Obs reconciliation under faults: an insert killed by an injected
 // bad_alloc records no history event. The on-time policy allocates before
@@ -44,7 +44,6 @@
 #include <thread>
 #include <vector>
 
-#include "health/governor.hpp"
 #include "inject/storm.hpp"
 #include "lo/map.hpp"
 #include "lo/partial.hpp"
@@ -56,13 +55,15 @@
 namespace {
 
 namespace inject = lot::inject;
-using lot::health::State;
 using lot::reclaim::AllocStats;
-using lot::stress::scaled;
 
 struct StormParams {
   unsigned threads = 8;
-  std::uint64_t max_ops_per_thread = scaled(40'000);  // cap; stop-flag driven
+  // Per-worker history log size. Workers churn until stopped, so this is
+  // room, not an op cap: about 8x the ~50k ops a worker does in a run on
+  // 4 cores. Not divided for instrumented builds: the run is
+  // wall-clock-phased, and their recovery bound is ten times longer.
+  std::uint64_t log_capacity = 400'000;
   std::int64_t key_range = 192;
   std::uint64_t seed = 1;
   bool check_heights = false;
@@ -70,10 +71,15 @@ struct StormParams {
   // Lazy (logical-removing) inserts pay one kInsertRestarts per escaped
   // bad_alloc; on-time inserts throw before their first descent.
   bool lazy_insert_alloc = false;
-  bool governed = true;  // false = negative control (policies off,
-                         // thresholds unreachable)
   std::size_t high_water = 768;  // EBR backlog mark the recovery must beat
 };
+
+// Wall-clock bound on the recovery: from the straggler's release until
+// the backlog is below the high-water mark. 3-10 ms on 4 cores, at most
+// 40 ms with four copies running at once (EXPERIMENTS.md A10);
+// instrumented builds (TSan, ASan) get ten times the room.
+constexpr std::chrono::milliseconds kRecoveryBound{
+    LOT_STRESS_DIVISOR > 1 ? 10'000 : 1'000};
 
 inject::StormSpec storm_spec(const StormParams& p) {
   inject::StormSpec s;
@@ -96,43 +102,13 @@ inject::StormSpec storm_spec(const StormParams& p) {
   return s;
 }
 
-using lot::health::governor;
-
-/// Storm thresholds: reachable by one test-sized run (the defaults are
-/// sized for production backlogs). backlog Critical (1536) sits above
-/// high_water so recovery-by-flush is observable as Critical -> Healthy.
-lot::health::Thresholds storm_thresholds() {
-  lot::health::Thresholds t;
-  t.backlog[0] = 256;
-  t.backlog[1] = 512;
-  t.backlog[2] = 1536;
-  return t;
-}
-
-lot::health::Thresholds unreachable_thresholds() {
-  lot::health::Thresholds t;
-  for (int i = 0; i < 3; ++i) {
-    t.backlog[i] = t.fallback[i] = t.heat[i] = UINT64_MAX;
-  }
-  t.lag_ticks = UINT32_MAX;
-  return t;
-}
-
-void configure_governor(const StormParams& p) {
-  governor().reset();
-  governor().set_thresholds(p.governed ? storm_thresholds()
-                                       : unreachable_thresholds());
-  lot::health::set_policies_enabled(p.governed);
-}
-
 template <typename MapT>
 void run_storm_campaign(const StormParams& p) {
   using K = typename MapT::key_type;
+  using Clock = std::chrono::steady_clock;
   const auto live_before = AllocStats::live();
   std::atomic<std::uint64_t> survived_oom{0};
   {
-    configure_governor(p);
-
     lot::reclaim::EbrDomain domain;
     domain.set_retire_threshold(64);
     domain.set_backlog_high_water(p.high_water);
@@ -140,7 +116,7 @@ void run_storm_campaign(const StormParams& p) {
     MapT map(domain);
 
     const std::size_t cap_per_thread =
-        p.max_ops_per_thread + static_cast<std::size_t>(p.key_range) + 8;
+        p.log_capacity + static_cast<std::size_t>(p.key_range) + 8;
     lot::check::HistoryRecorder<K> rec(p.threads, cap_per_thread);
     const lot::obs::Snapshot obs_before =
         lot::obs::Registry::instance().snapshot();
@@ -158,9 +134,8 @@ void run_storm_campaign(const StormParams& p) {
     lot::check::set_perturbation(20, 40);
     lot::check::enable_perturbation(true);
 
-    // The straggler: pinned before the first worker op, released only
-    // after the workers are quiescent — every node retired during the run
-    // stays pending, deterministically, until the recovery phase.
+    // The straggler: pinned before the first worker op, so every node
+    // retired during the storm stays pending until its release.
     std::atomic<bool> straggler_parked{false};
     std::atomic<bool> straggler_release{false};
     std::thread straggler([&] {
@@ -170,22 +145,8 @@ void run_storm_campaign(const StormParams& p) {
     });
     while (!straggler_parked.load()) std::this_thread::yield();
 
-    // Explicit governor ticker: guarantees sampling even while every
-    // writer is stalled inside an injected fault, and tracks the worst
-    // state the storm reached.
-    std::atomic<bool> stop_ticker{false};
-    std::atomic<std::uint8_t> max_state{0};
-    std::thread ticker([&] {
-      while (!stop_ticker.load()) {
-        const auto st = static_cast<std::uint8_t>(governor().sample(domain));
-        std::uint8_t seen = max_state.load();
-        while (st > seen && !max_state.compare_exchange_weak(seen, st)) {
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-
     std::atomic<bool> stop_workers{false};
+    std::atomic<unsigned> churning_after_release{0};
     lot::sync::ThreadBarrier barrier(p.threads + 1);  // workers + main
     std::vector<std::thread> workers;
     workers.reserve(p.threads);
@@ -193,9 +154,13 @@ void run_storm_campaign(const StormParams& p) {
       workers.emplace_back([&, t] {
         lot::util::Xoshiro256 rng(p.seed * 0x9E3779B97F4A7C15ULL + t + 1);
         std::uint64_t oom_here = 0;
+        bool saw_release = false;
         barrier.arrive_and_wait();  // storm scheduler starts with us
-        for (std::uint64_t i = 0;
-             i < p.max_ops_per_thread && !stop_workers.load(); ++i) {
+        while (!stop_workers.load()) {
+          if (!saw_release && straggler_release.load()) {
+            saw_release = true;
+            ++churning_after_release;
+          }
           const K key = static_cast<K>(
               rng.next_below(static_cast<std::uint64_t>(p.key_range)));
           const auto dice = rng.next_below(100);
@@ -225,17 +190,51 @@ void run_storm_campaign(const StormParams& p) {
     storm.start(storm_spec(p));
     barrier.arrive_and_wait();  // release the workers into the weather
     storm.wait();               // envelope played out, site rates back at 0
-    // A short calm tail keeps churn running while rates are already zero —
-    // recovery begins under load, as it would in production.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    // ---- pinned: the wedge -------------------------------------------
+    const std::size_t frozen = domain.pending_retired();
+    EXPECT_GE(frozen, p.high_water)
+        << "the straggler should have frozen a backlog past the mark";
+    EXPECT_TRUE(domain.stats().stalled_now)
+        << "the stall watchdog never reported the straggler";
+
+    // ---- recovery under churn ----------------------------------------
+    // Only the workers' retires drain the backlog from here on.
+    const auto released_at = Clock::now();
+    straggler_release = true;
+    straggler.join();
+    std::size_t pending = domain.pending_retired();
+    while (pending >= p.high_water &&
+           Clock::now() - released_at < kRecoveryBound) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      pending = domain.pending_retired();
+    }
+    const auto recovery_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                              released_at);
+    // Every worker must still be churning past the release.
+    while (churning_after_release.load() < p.threads &&
+           Clock::now() - released_at < kRecoveryBound) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     stop_workers = true;
     for (auto& w : workers) w.join();
     inject::enable_injection(false);
     lot::check::enable_perturbation(false);
-    stop_ticker = true;
-    ticker.join();
 
-    // ---- during-storm assertions -------------------------------------
+    EXPECT_LT(pending, p.high_water)
+        << "backpressure failed to drain the cleared wedge within "
+        << kRecoveryBound.count() << " ms";
+    EXPECT_EQ(churning_after_release.load(), p.threads)
+        << "a worker stopped churning before the release";
+    std::printf(
+        "[ storm    ] backlog %zu -> %zu in %lld ms after release (bound "
+        "%lld ms), %llu OOMs survived\n",
+        frozen, pending, static_cast<long long>(recovery_ms.count()),
+        static_cast<long long>(kRecoveryBound.count()),
+        static_cast<unsigned long long>(survived_oom.load()));
+
+    // ---- storm weather landed ----------------------------------------
     const auto alloc_site = p.partial ? inject::Site::kPartialInsertAlloc
                                       : inject::Site::kLoInsertAlloc;
     EXPECT_GT(
@@ -248,55 +247,6 @@ void run_storm_campaign(const StormParams& p) {
                   inject::fires(inject::Site::kGuardStallWriter),
               0u)
         << "the storm never stalled a guard";
-
-    // Quiescent, straggler still pinned: the frozen backlog and the stall
-    // watchdog are exactly what the governor exists to see.
-    EXPECT_GE(domain.pending_retired(), p.high_water)
-        << "the straggler should have frozen a backlog past the mark";
-    governor().sample(domain);
-    if (p.governed) {
-      EXPECT_GE(governor().state(), State::kDegraded)
-          << "governor never reacted to the storm";
-      EXPECT_GE(static_cast<State>(max_state.load()), State::kDegraded);
-      EXPECT_GE(governor().transitions(), 1u);
-    }
-
-    // ---- recovery ----------------------------------------------------
-    straggler_release = true;
-    straggler.join();
-
-    const std::uint32_t bound = governor().recovery_bound();
-    std::uint32_t ticks_used = 0;
-    for (; ticks_used < bound; ++ticks_used) {
-      const State st = governor().sample(domain);
-      if (st == State::kHealthy && domain.pending_retired() < p.high_water) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (p.governed) {
-      EXPECT_LT(ticks_used, bound)
-          << "governor failed its documented recovery bound";
-      EXPECT_EQ(governor().state(), State::kHealthy);
-      EXPECT_LT(domain.pending_retired(), p.high_water)
-          << "the governor's flushes failed to collapse the backlog";
-      std::printf(
-          "[ storm    ] recovered to healthy in %u/%u ticks, max state %s, "
-          "%llu OOMs survived\n",
-          ticks_used, bound,
-          lot::health::state_name(static_cast<State>(max_state.load())),
-          static_cast<unsigned long long>(survived_oom.load()));
-    } else {
-      // The ungoverned arm (policies off): no governor flush
-      // runs, so the backlog sits frozen past the mark after the
-      // same bound — the recovery property the governed arms prove is
-      // violated without the governor.
-      EXPECT_EQ(ticks_used, bound);
-      EXPECT_GE(domain.pending_retired(), p.high_water)
-          << "without the governor the backlog should NOT have collapsed";
-      domain.flush();  // manual cleanup the governor would have provided
-      domain.flush();
-    }
 
     // ---- quiescent correctness ---------------------------------------
     if constexpr (MapT::kBalanced) {
@@ -311,8 +261,7 @@ void run_storm_campaign(const StormParams& p) {
     out.obs_before = obs_before;
     out.obs_after = lot::obs::Registry::instance().snapshot();
     lot::stress::expect_linearizable(out);
-    lot::stress::print_check_stats(p.governed ? "storm" : "storm-ungoverned",
-                                   out);
+    lot::stress::print_check_stats("storm", out);
 
     // ---- obs reconciliation (exact, faults included) -----------------
     std::uint64_t ins = 0, ins_ok = 0, rem = 0, rem_ok = 0;
@@ -368,7 +317,6 @@ void run_storm_campaign(const StormParams& p) {
     const auto stats = domain.stats();
     EXPECT_EQ(stats.emergency_leaks, 0u);
     EXPECT_EQ(domain.pending_retired(), 0u);
-    governor().reset();
   }
   EXPECT_EQ(AllocStats::live(), live_before) << "node leak across the storm";
 }
@@ -402,16 +350,6 @@ TEST(LoStormStress, PartialAvlRecoversFromStorm) {
   p.lazy_insert_alloc = true;
   p.check_heights = true;
   run_storm_campaign<lot::lo::PartialAvlMap<std::int64_t, std::int64_t>>(p);
-}
-
-// Negative control: same weather, policies off and thresholds unreachable.
-// The tree itself must still be
-// correct — the governor is never a correctness dependency — but the
-// recovery property the governed arms prove is violated.
-TEST(LoStormStress, GovernorPoliciesOffViolatesRecoveryBound) {
-  StormParams p;
-  p.governed = false;
-  run_storm_campaign<LoBst>(p);
 }
 
 }  // namespace

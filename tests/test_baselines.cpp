@@ -332,4 +332,26 @@ TEST(CfTreeSweep, ExactWhileMaintenanceRotates) {
   }
 }
 
+// A sweep parked while the maintenance thread rebalances runs on through
+// the retired fragments, where an original and its clone both lead to
+// the same subtree. Re-walking swept subtrees along every such path
+// multiplied the work with each rotation: this sweep, parked on its first
+// key until the ascending spine is balanced, never finished, and
+// ExactWhileMaintenanceRotates hung 2 runs in 100 with four copies
+// running at once.
+TEST(CfTreeSweep, SweepParkedThroughRebalanceFinishes) {
+  constexpr K kKeys = 2'000;
+  lot::baselines::CfTreeMap<K, V> m;
+  for (K k = 0; k < kKeys; ++k) ASSERT_TRUE(m.insert(k, k));
+  K expect = 0;
+  m.for_each([&](K k, V) {
+    if (k == 0) {
+      EXPECT_TRUE(m.quiesce()) << "no quiet maintenance pass";
+    }
+    EXPECT_EQ(k, expect);
+    ++expect;
+  });
+  EXPECT_EQ(expect, kKeys);
+}
+
 }  // namespace
