@@ -336,6 +336,103 @@ TYPED_TEST(LoConcurrentTest, IterationDuringChurn) {
   this->expect_valid(m);
 }
 
+// The write paths charge contention to the domain the map retires
+// through: churn on a handful of hot keys raises the private domain's
+// odometer and leaves the global domain's untouched.
+TYPED_TEST(LoConcurrentTest, ContentionEventsLandInTheMapsDomain) {
+  constexpr int kThreads = 4;
+  lot::reclaim::EbrDomain domain;
+  TypeParam m(domain);
+  auto& global = lot::reclaim::EbrDomain::global_domain();
+  const std::uint64_t global0 = global.contention_events();
+
+  for (int round = 0; round < 50 && domain.contention_events() == 0;
+       ++round) {
+    ThreadBarrier barrier(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        Xoshiro256 rng(0xBEEF + 16 * round + t);
+        barrier.arrive_and_wait();
+        for (int i = 0; i < scaled(20'000); ++i) {
+          const K k = static_cast<K>(rng.next_below(16));
+          if (rng.percent(50)) {
+            m.insert(k, k);
+          } else {
+            m.erase(k);
+          }
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+
+  ASSERT_GT(domain.contention_events(), 0u)
+      << "no contention in 50 rounds; nothing to attribute";
+  EXPECT_EQ(domain.stats().contention_events, domain.contention_events());
+  EXPECT_EQ(global.contention_events(), global0);
+  this->expect_valid(m);
+}
+
+// A pinned reader holds back every free but no writer: churn completes
+// while it is parked, and the domain's backlog never shrinks until it
+// lets go. At quiescence two flushes free everything the churn retired.
+TYPED_TEST(LoConcurrentTest, PinnedReaderHoldsBackFreesNotWriters) {
+  constexpr int kWorkers = 4;
+  lot::reclaim::EbrDomain domain;
+  {
+    TypeParam m(domain);
+    std::atomic<bool> parked{false};
+    std::atomic<bool> release{false};
+    std::thread straggler([&] {
+      auto g = domain.guard();
+      parked = true;
+      while (!release.load()) std::this_thread::yield();
+    });
+    while (!parked.load()) std::this_thread::yield();
+
+    std::atomic<int> done{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kWorkers; ++t) {
+      workers.emplace_back([&, t] {
+        Xoshiro256 rng(0x5EED + t);
+        for (int i = 0; i < scaled(20'000); ++i) {
+          const K k = static_cast<K>(rng.next_below(256));
+          if (rng.percent(50)) {
+            m.insert(k, k);
+          } else {
+            m.erase(k);
+          }
+        }
+        done.fetch_add(1);
+      });
+    }
+    // Each record's list only grows while the pin holds, so each full
+    // read of the sum is at least the one before it.
+    std::size_t last = 0;
+    int shrinks = 0;
+    while (done.load() < kWorkers) {
+      const std::size_t now = domain.pending_retired();
+      shrinks += now < last;
+      last = now;
+      std::this_thread::yield();
+    }
+    for (auto& w : workers) w.join();
+    EXPECT_EQ(shrinks, 0) << "a node was freed under the reader's pin";
+    EXPECT_GT(domain.pending_retired(), 0u);
+    EXPECT_GE(domain.pending_retired(), last);
+    EXPECT_GE(domain.stats().epoch_lag, 1u);
+
+    release = true;
+    straggler.join();
+    domain.flush();
+    domain.flush();
+    EXPECT_EQ(domain.pending_retired(), 0u);
+    EXPECT_EQ(domain.stats().emergency_leaks, 0u);
+    this->expect_valid(m);
+  }
+}
+
 // AVL-specific: after heavy parallel churn and quiescence, the tree must be
 // strictly balanced (Bougé et al.'s guarantee, paper §2 and §4.5).
 TEST(LoAvlConcurrent, QuiescentStrictBalanceAfterParallelChurn) {

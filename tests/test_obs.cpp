@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -319,6 +320,39 @@ TEST(ObsRegistry, SerializersCarryTheSchema) {
   const std::string text = s.to_text();
   EXPECT_NE(text.find("contains_restarts"), std::string::npos);
   EXPECT_NE(text.find("tree_descents"), std::string::npos);
+}
+
+// health.transitions is a dead ledger row kept only for the benchmark
+// harness: it reads 0 even across a real stall episode, and neither
+// serializer emits a health key (the stall shows in the EBR rows).
+TEST(ObsRegistry, HealthRowIsADeadPlaceholder) {
+  lot::reclaim::EbrDomain domain;
+  domain.set_retire_threshold(1);
+  domain.set_stall_strike_limit(4);
+  domain.set_stall_report_us(0);
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  std::thread straggler([&] {
+    auto g = domain.guard();
+    parked = true;
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!parked.load()) std::this_thread::yield();
+  for (int i = 0; i < 16; ++i) {
+    domain.retire_raw(new int(i),
+                      [](void* q) { delete static_cast<int*>(q); });
+  }
+
+  const Snapshot s = Registry::instance().snapshot();
+  release = true;
+  straggler.join();
+  EXPECT_TRUE(s.any_stalled());
+  EXPECT_EQ(s.health.transitions, 0u);
+  EXPECT_EQ(s.to_json().find("health"), std::string::npos);
+  EXPECT_EQ(s.to_text().find("health"), std::string::npos);
+  domain.flush();
+  domain.flush();
+  EXPECT_EQ(domain.pending_retired(), 0u);
 }
 
 }  // namespace
